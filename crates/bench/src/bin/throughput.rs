@@ -49,7 +49,7 @@ use std::time::Instant;
 use asketch::filter::{FilterKind, VectorFilter};
 use asketch::{ASketch, AsketchBuilder, DurabilityOptions, FsyncPolicy};
 use asketch_durable::recover_kernel;
-use asketch_parallel::{hash_shards, ConcurrentASketch, ConcurrentConfig, DataPlane, SpmdGroup};
+use asketch_parallel::{hash_shards, ConcurrentASketch, ConcurrentConfig, SpmdGroup};
 use eval_metrics::{observed_error_pct, EstimatePair};
 use sketches::{BlockedCountMin, BlockedCountMin32, CountMin, Fcm, FrequencyEstimator};
 use streamgen::{query, ExactCounter, StreamSpec};
@@ -249,7 +249,6 @@ fn write_json(
     stream_len: usize,
     distinct: u64,
     results: &[RunResult],
-    spine: &[SpineRow],
 ) -> std::io::Result<()> {
     let mut out = String::new();
     out.push_str("{\n");
@@ -277,20 +276,6 @@ fn write_json(
             json_f64(r.updates_per_ms),
             r.estimate_p50_ns,
             r.estimate_p99_ns,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"spine\": [\n");
-    for (i, s) in spine.iter().enumerate() {
-        let comma = if i + 1 < spine.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"plane\": \"{}\", \"shards\": {}, \"router_batch\": {}, \
-             \"updates_per_ms\": {}}}{comma}",
-            s.plane,
-            s.shards,
-            s.router_batch,
-            json_f64(s.updates_per_ms),
         );
     }
     out.push_str("  ]\n}\n");
@@ -1396,143 +1381,6 @@ fn validate_recovery(path: &str, max_overhead: f64, min_replay_ratio: f64) -> Re
 }
 
 // ---------------------------------------------------------------------------
-// Ingest-spine sweep (ring vs channel data plane; `--validate-spine`)
-// ---------------------------------------------------------------------------
-
-/// Default floor for the ring data plane: on a multi-core host at least
-/// one (shards, router_batch) cell must ingest `>= 1.2x` the channel
-/// plane's rate. Single-core hosts serialize router and workers, so CI
-/// relaxes or skips this gate there (see `scripts/ci.sh`).
-const SPINE_MIN_RING_SPEEDUP: f64 = 1.2;
-
-/// One ingest run through the concurrent runtime with a given data plane.
-/// Rows are keyed `plane`/`router_batch` — deliberately NOT `batch_size`,
-/// so the batched-kernel validator and the regression comparator (both of
-/// which filter lines on that literal) skip them.
-struct SpineRow {
-    plane: &'static str,
-    shards: usize,
-    router_batch: usize,
-    updates_per_ms: f64,
-}
-
-/// Pure ingest (no reads, no durability) through the sharded runtime:
-/// the cost under test is the router→worker hop itself. Wall-clock
-/// includes the final `sync` barrier so every key is applied when the
-/// clock stops. Best of 2 passes.
-fn spine_ingest(plane: DataPlane, shards: usize, router_batch: usize, stream: &[u64]) -> f64 {
-    const MEASURE_PASSES: usize = 2;
-    let mut best = 0.0f64;
-    for _ in 0..MEASURE_PASSES {
-        let mut cfg = conc_config(shards);
-        cfg.batch = router_batch;
-        cfg.data_plane = plane;
-        let t0 = Instant::now();
-        let mut rt = ConcurrentASketch::spawn(cfg, |i| conc_kernel(i, shards));
-        for part in stream.chunks(4096) {
-            rt.insert_batch(part);
-        }
-        rt.sync();
-        let elapsed = t0.elapsed().as_secs_f64();
-        drop(rt);
-        best = best.max(stream.len() as f64 / (elapsed * 1e3));
-    }
-    best
-}
-
-/// Channel-vs-ring rows for the throughput artifact. Planes alternate
-/// within each (shards, router_batch) cell so both sides of a ratio see
-/// the same thermal/cache neighborhood.
-fn run_spine_sweep(smoke: bool) -> Vec<SpineRow> {
-    let stream_len = if smoke { 1 << 19 } else { 1 << 20 };
-    let spec = StreamSpec {
-        len: stream_len,
-        distinct: 1 << 16,
-        skew: SMOKE_SKEW,
-        seed: SEED,
-    };
-    let stream = spec.materialize();
-    let shard_counts: &[usize] = if smoke { &[2] } else { &[2, 4] };
-    let batches: &[usize] = &[256, 1024];
-    let mut rows = Vec::new();
-    for &shards in shard_counts {
-        for &router_batch in batches {
-            for (plane, name) in [(DataPlane::Channel, "channel"), (DataPlane::Ring, "ring")] {
-                let per_ms = spine_ingest(plane, shards, router_batch, &stream);
-                eprintln!(
-                    "spine plane={name} shards={shards} router_batch={router_batch}: \
-                     {per_ms:.0} updates/ms"
-                );
-                rows.push(SpineRow {
-                    plane: name,
-                    shards,
-                    router_batch,
-                    updates_per_ms: per_ms,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Validate the spine rows inside `BENCH_throughput.json`: both planes
-/// present for every (shards, router_batch) cell, and the ring plane
-/// beating the channel plane by `min_ring_speedup` in at least one cell.
-fn validate_spine(path: &str, min_ring_speedup: f64) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    // (shards, router_batch) -> (channel updates/ms, ring updates/ms)
-    let mut cells: std::collections::HashMap<String, (f64, f64)> = std::collections::HashMap::new();
-    let mut rows = 0usize;
-    for line in text.lines().filter(|l| l.contains("\"plane\"")) {
-        rows += 1;
-        let get =
-            |k: &str| field(line, k).ok_or_else(|| format!("spine row missing \"{k}\": {line}"));
-        let plane = get("plane")?.to_string();
-        let shards = get("shards")?.to_string();
-        let batch = get("router_batch")?.to_string();
-        let per_ms: f64 = get("updates_per_ms")?
-            .parse()
-            .map_err(|e| format!("bad updates_per_ms: {e}"))?;
-        if per_ms <= 0.0 {
-            return Err(format!("non-positive updates_per_ms: {line}"));
-        }
-        let cell = cells
-            .entry(format!("shards {shards} / router_batch {batch}"))
-            .or_insert((0.0, 0.0));
-        match plane.as_str() {
-            "channel" => cell.0 = per_ms,
-            "ring" => cell.1 = per_ms,
-            other => return Err(format!("unknown plane \"{other}\": {line}")),
-        }
-    }
-    if rows == 0 {
-        return Err("no spine rows (regenerate BENCH_throughput.json)".to_string());
-    }
-    let mut best = 0.0f64;
-    let mut best_cell = String::new();
-    for (key, &(channel, ring)) in &cells {
-        if channel <= 0.0 || ring <= 0.0 {
-            return Err(format!("cell \"{key}\" is missing a plane"));
-        }
-        if ring / channel > best {
-            best = ring / channel;
-            best_cell = key.clone();
-        }
-    }
-    if best < min_ring_speedup {
-        return Err(format!(
-            "ring/channel speedup {best:.2}x (best cell \"{best_cell}\") below \
-             required {min_ring_speedup:.2}x"
-        ));
-    }
-    println!(
-        "OK: {rows} spine rows, best ring/channel speedup {best:.2}x \
-         ({best_cell}) >= {min_ring_speedup:.2}x"
-    );
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Regression comparison (`--regress OLD NEW`)
 // ---------------------------------------------------------------------------
 
@@ -1612,10 +1460,8 @@ fn main() {
     let mut validate_concurrent_path: Option<String> = None;
     let mut validate_layout_path: Option<String> = None;
     let mut validate_recovery_path: Option<String> = None;
-    let mut validate_spine_path: Option<String> = None;
     let mut regress_paths: Option<(String, String)> = None;
     let mut min_speedup = 1.5f64;
-    let mut min_ring_speedup = SPINE_MIN_RING_SPEEDUP;
     let mut min_scaling = 2.0f64;
     let mut min_layout_speedup = LAYOUT_MIN_SPEEDUP;
     let mut max_overhead = RECOVERY_MAX_OVERHEAD;
@@ -1673,19 +1519,6 @@ fn main() {
                         .clone(),
                 );
             }
-            "--validate-spine" => {
-                i += 1;
-                validate_spine_path =
-                    Some(args.get(i).expect("--validate-spine needs a path").clone());
-            }
-            "--min-ring-speedup" => {
-                i += 1;
-                min_ring_speedup = args
-                    .get(i)
-                    .expect("--min-ring-speedup needs a value")
-                    .parse()
-                    .expect("min-ring-speedup must be a number");
-            }
             "--max-overhead" => {
                 i += 1;
                 max_overhead = args
@@ -1739,7 +1572,6 @@ fn main() {
                      [--validate-concurrent FILE [--min-scaling X]] \
                      [--validate-layout FILE [--min-layout-speedup X]] \
                      [--validate-recovery FILE [--max-overhead X] [--min-replay-ratio X]] \
-                     [--validate-spine FILE [--min-ring-speedup X]] \
                      [--regress BASELINE FRESH [--tolerance X]]"
                 );
                 std::process::exit(2);
@@ -1771,15 +1603,6 @@ fn main() {
             Ok(()) => return,
             Err(e) => {
                 eprintln!("BENCH_recovery.json validation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = validate_spine_path {
-        match validate_spine(&path, min_ring_speedup) {
-            Ok(()) => return,
-            Err(e) => {
-                eprintln!("ingest-spine validation failed: {e}");
                 std::process::exit(1);
             }
         }
@@ -1851,13 +1674,6 @@ fn main() {
         &[1, 64, 256, 1024]
     };
 
-    // Kernel rows first, spine rows after: the spine sweep saturates every
-    // core (shard workers + router), and running it ahead of the
-    // single-threaded kernel sweep measurably depresses the kernel rows on
-    // small hosts (hot core, scheduler debt) — the batched-vs-scalar gate
-    // then compares against a baseline that was measured cold.
-    let spine: Vec<SpineRow> = Vec::new();
-
     let mut results = Vec::new();
     for &skew in skews {
         let spec = StreamSpec {
@@ -1890,17 +1706,11 @@ fn main() {
                     results.push(r);
                     // Flush after every row: a panic mid-sweep keeps the
                     // finished rows in a well-formed partial artifact.
-                    write_json(&out_path, smoke, stream_len, distinct, &results, &spine)
+                    write_json(&out_path, smoke, stream_len, distinct, &results)
                         .expect("write results");
                 }
             }
         }
     }
-    let spine = run_spine_sweep(smoke);
-    write_json(&out_path, smoke, stream_len, distinct, &results, &spine).expect("write results");
-    eprintln!(
-        "wrote {out_path} ({} rows + {} spine rows)",
-        results.len(),
-        spine.len()
-    );
+    eprintln!("wrote {out_path} ({} rows)", results.len());
 }

@@ -96,15 +96,6 @@ pub struct ShardGauge {
     pub scrub_corruptions: u64,
     /// Corrupt snapshots the scrubber renamed to `.corrupt`.
     pub snapshots_quarantined: u64,
-    /// Which data plane carries batches to this shard's worker:
-    /// `"ring"` (lock-free SPSC ring, channel kept for control) or
-    /// `"channel"` (everything over the supervised channel).
-    /// Empty for gauges predating the two-plane split.
-    pub data_plane: String,
-    /// Batches currently resident in the SPSC ring (0 on the channel
-    /// plane; a subset of `queue_depth`, which also counts spilled and
-    /// control-plane batches).
-    pub ring_depth: usize,
     /// WAL commit groups flushed by this shard (each coalesces one or
     /// more staged records into a single vectored write).
     pub wal_group_commits: u64,

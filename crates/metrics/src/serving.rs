@@ -47,7 +47,7 @@ pub struct ReactorGauge {
     /// Bytes written to sockets.
     pub bytes_written: u64,
     /// Shard-affine mega-batches flushed straight into the runtime's
-    /// shard rings (one journal seq + one ring push per shard each).
+    /// shard channels (one journal seq + one send per shard each).
     pub mega_batches: u64,
     /// Keys carried by those mega-batches.
     pub mega_batch_keys: u64,

@@ -1,10 +1,11 @@
-//! Multi-producer channels for the control plane and the supervised
+//! Multi-producer channels for the shard links and the supervised
 //! pipelines: one `Mutex` + two `Condvar`s around a `VecDeque`.
 //!
 //! Semantics the supervisors depend on: a bounded capacity that blocks
 //! senders, `send_timeout` and `recv_timeout`, cloneable senders, and
 //! disconnection once every handle on the other side is dropped (a
-//! receiver still drains queued messages first). std's `mpsc` lacks a
+//! receiver still drains queued messages first; dropping the receiver
+//! drops whatever is still queued). std's `mpsc` lacks a
 //! stable `send_timeout`, which is why this module exists.
 
 use std::collections::VecDeque;
@@ -195,8 +196,16 @@ impl<T> Drop for Sender<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.lock().receiver_alive = false;
+        // Nobody can receive the queued messages any more, so drop them
+        // now (outside the lock): a queued message that owns a reply
+        // sender must disconnect its waiter instead of keeping it alive.
+        let orphans = {
+            let mut st = self.shared.lock();
+            st.receiver_alive = false;
+            std::mem::take(&mut st.queue)
+        };
         self.shared.not_full.notify_all();
+        drop(orphans);
     }
 }
 
@@ -279,5 +288,42 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
         assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    /// Shard fail-over relies on this: a router blocked on a full channel
+    /// learns that the worker died as soon as its receiver drops, not when
+    /// the send timeout runs out.
+    #[test]
+    fn blocked_sender_sees_receiver_drop_promptly() {
+        let (tx, rx) = bounded(1);
+        tx.send(0u32).unwrap();
+        // Nothing outside the channel can observe a blocked sender, so the
+        // delay only makes the wake-from-wait path the usual one; a drop
+        // that lands first must give the same answer.
+        let consumer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(rx);
+        });
+        let started = Instant::now();
+        let sent = tx.send_timeout(1, Duration::from_secs(30));
+        let waited = started.elapsed();
+        consumer.join().unwrap();
+        assert_eq!(sent, Err(SendTimeoutError::Disconnected(1)));
+        assert!(waited < Duration::from_secs(5), "sender waited {waited:?}");
+    }
+
+    /// A barrier queued behind work a dead worker never reached must not
+    /// leave its waiter hanging: dropping the receiver drops the queued
+    /// reply sender, so the waiter sees `Disconnected` at once.
+    #[test]
+    fn receiver_drop_releases_queued_reply_senders() {
+        let (tx, rx) = bounded::<Sender<u32>>(4);
+        let (reply_tx, reply_rx) = bounded::<u32>(1);
+        assert!(tx.send(reply_tx).is_ok());
+        drop(rx);
+        assert_eq!(
+            reply_rx.recv_timeout(Duration::from_secs(30)),
+            Err(RecvTimeoutError::Disconnected)
+        );
     }
 }

@@ -76,9 +76,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::channel::{
-    self, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TryRecvError, TrySendError,
-};
+use crate::channel::{self, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError};
 
 use asketch::{ASketch, DurabilityError, DurabilityOptions, Filter, FilterItem, RecoveryReport};
 use asketch_durable::snapshot::{prune_snapshots_with, write_snapshot_sessions_with, SnapshotMeta};
@@ -93,7 +91,6 @@ use sketches::traits::{FrequencyEstimator, Tuple, UpdateEstimate};
 use sketches::SharedView;
 
 use crate::affinity;
-use crate::ring;
 use crate::router::KeyRouter;
 use crate::seqlock::FilterSnapshot;
 use crate::session::{SessionOutcome, SessionTable};
@@ -101,33 +98,6 @@ use crate::spmd::KeyPartition;
 use crate::supervisor::{
     panic_message, BackpressurePolicy, Journal, PipelineError, SupervisionConfig,
 };
-
-/// Which transport carries data batches from the router to each shard
-/// worker (the **hot path**). Control messages (sync barriers, shutdown
-/// via disconnect) always ride the supervised channel — the
-/// cold control plane — so supervision semantics are identical on both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlane {
-    /// Bounded lock-free SPSC ring per shard ([`crate::ring`]):
-    /// cache-padded head/tail, park/unpark only on empty↔full
-    /// transitions. The default — measurably faster than the channel on
-    /// multi-core hosts.
-    #[default]
-    Ring,
-    /// Everything over the channel (the pre-ring behaviour);
-    /// kept for comparison benchmarks and as a conservative fallback.
-    Channel,
-}
-
-impl DataPlane {
-    /// Stable gauge/CLI name: `"ring"` or `"channel"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            DataPlane::Ring => "ring",
-            DataPlane::Channel => "channel",
-        }
-    }
-}
 
 /// Tunables for the concurrent sharded runtime.
 #[derive(Debug, Clone)]
@@ -142,8 +112,6 @@ pub struct ConcurrentConfig {
     /// publish copies the whole counter table, so it runs coarser than the
     /// 32-item filter publish).
     pub view_interval: u64,
-    /// Transport for data batches: SPSC ring (default) or the channel.
-    pub data_plane: DataPlane,
     /// Pin each shard worker to core `shard % cores` and herd background
     /// threads (snapshotter, scrubber, WAL syncer) onto the last core.
     /// Best-effort (see [`crate::affinity`]); off by default so CI
@@ -166,7 +134,6 @@ impl Default for ConcurrentConfig {
             batch: 256,
             publish_interval: 1024,
             view_interval: 8192,
-            data_plane: DataPlane::default(),
             pin_workers: false,
             session_cap: 1024,
             supervision: SupervisionConfig::default(),
@@ -320,80 +287,13 @@ enum FromShard<K> {
     Checkpoint { seq: u64, snapshot: K },
 }
 
-/// One data-plane batch on the SPSC ring: the journal sequence plus the
-/// shard-owned keys (exactly `ToShard::Batch`, unboxed for the ring).
-type RingBatch = (u64, Vec<u64>);
-
-/// Channel endpoints and join handle of one live shard worker.
-///
-/// Two planes: when `ring` is installed ([`DataPlane::Ring`]) data
-/// batches ride the lock-free SPSC ring and the channel
-/// carries only control traffic (sync barriers; shutdown is the channel
-/// disconnecting). On [`DataPlane::Channel`] everything uses `tx`.
+/// Channel endpoints and join handle of one live shard worker. Data
+/// batches, sync barriers and shutdown (the channel disconnecting) all
+/// ride `tx`, so a dead worker shows up as `Disconnected` on any send.
 struct ShardLink<K> {
     tx: Sender<ToShard>,
-    /// Producer half of the data ring (`None` on the channel plane).
-    ring: Option<ring::Producer<RingBatch>>,
-    /// Bound of the data plane actually in use (ring capacity rounds up
-    /// to a power of two, so this can exceed the configured capacity).
-    capacity: usize,
     rx: Receiver<FromShard<K>>,
     handle: JoinHandle<K>,
-}
-
-impl<K> ShardLink<K> {
-    /// Non-blocking send on the data plane. Ring-full is reported as
-    /// `Full`; a full ring whose worker has already exited is reported as
-    /// `Disconnected` (the ring itself has no disconnect notion — the
-    /// thread handle is the liveness source of truth).
-    fn try_send_data(&self, msg: ToShard) -> Result<(), TrySendError<ToShard>> {
-        match (&self.ring, msg) {
-            (Some(rp), ToShard::Batch { seq, keys }) => match rp.try_push((seq, keys)) {
-                Ok(()) => Ok(()),
-                Err((seq, keys)) => {
-                    let msg = ToShard::Batch { seq, keys };
-                    if self.handle.is_finished() {
-                        Err(TrySendError::Disconnected(msg))
-                    } else {
-                        Err(TrySendError::Full(msg))
-                    }
-                }
-            },
-            (_, msg) => self.tx.try_send(msg),
-        }
-    }
-
-    /// Blocking send on the data plane with a wedge bound; same
-    /// `Timeout`/`Disconnected` classification as the channel.
-    fn send_data_timeout(
-        &self,
-        msg: ToShard,
-        timeout: Duration,
-    ) -> Result<(), SendTimeoutError<ToShard>> {
-        match (&self.ring, msg) {
-            (Some(rp), ToShard::Batch { seq, keys }) => match rp.push_timeout((seq, keys), timeout)
-            {
-                Ok(()) => Ok(()),
-                Err((seq, keys)) => {
-                    let msg = ToShard::Batch { seq, keys };
-                    if self.handle.is_finished() {
-                        Err(SendTimeoutError::Disconnected(msg))
-                    } else {
-                        Err(SendTimeoutError::Timeout(msg))
-                    }
-                }
-            },
-            (_, msg) => self.tx.send_timeout(msg, timeout),
-        }
-    }
-
-    /// Wake a worker that may be parked on an empty ring — called after
-    /// control-plane sends, which don't touch the ring's park flag.
-    fn wake_worker(&self) {
-        if let Some(rp) = &self.ring {
-            rp.wake_consumer();
-        }
-    }
 }
 
 /// Convert a typed durability error into the health-gauge form: the
@@ -926,11 +826,6 @@ impl<K> DurableShard<K> {
 /// Sentinel in the shared pinned-core slot meaning "not pinned".
 const UNPINNED: usize = usize::MAX;
 
-/// How long a ring-plane worker parks per slice while idle. Short enough
-/// that a lost wakeup or a control message arriving mid-park costs at
-/// most one slice; long enough that an idle shard burns no CPU.
-const WORKER_PARK_SLICE: Duration = Duration::from_millis(1);
-
 /// How long the background WAL syncer dwells after a deferred-fsync
 /// request before issuing it, coalescing every request (across all
 /// shards) that lands in the window into one fsync per segment. Bounds
@@ -938,84 +833,13 @@ const WORKER_PARK_SLICE: Duration = Duration::from_millis(1);
 /// policy itself.
 const WAL_SYNC_DWELL: Duration = Duration::from_millis(10);
 
-/// The apply/publish/checkpoint machinery of one shard worker, factored
-/// out of the loop so both data planes (ring and channel) share it.
-struct WorkerCtx<F, S>
-where
-    F: Filter + Clone + Send + 'static,
-    S: SharedView + UpdateEstimate + Clone + Send + 'static,
-{
-    kernel: ASketch<F, S>,
-    out: Sender<FromShard<ASketch<F, S>>>,
-    snap: Arc<ShardSnapshot<S>>,
-    depth: Arc<AtomicUsize>,
-    gen: u64,
-    publish_interval: u64,
-    view_interval: u64,
-    checkpoint_interval: u64,
-    items: Vec<FilterItem>,
-    tuples: Vec<Tuple>,
-    since_pub: u64,
-    since_view: u64,
-    since_ckpt: u64,
-}
-
-impl<F, S> WorkerCtx<F, S>
-where
-    F: Filter + Clone + Send + 'static,
-    S: SharedView + UpdateEstimate + Clone + Send + 'static,
-{
-    /// Apply one batch through the sequential kernel and run the interval
-    /// publishes/checkpoints it triggers.
-    fn apply(&mut self, seq: u64, keys: &[u64]) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        self.tuples.clear();
-        self.tuples.extend(keys.iter().map(|&k| (k, 1i64)));
-        self.kernel.update_batch(&self.tuples);
-        let n = keys.len() as u64;
-        self.since_pub += n;
-        self.since_view += n;
-        self.since_ckpt += n;
-        if self.since_pub >= self.publish_interval {
-            self.since_pub = 0;
-            publish_filter(&self.kernel, &self.snap, &mut self.items, self.gen);
-        }
-        if self.since_view >= self.view_interval {
-            self.since_view = 0;
-            publish_view(&self.kernel, &self.snap, self.gen);
-        }
-        if self.since_ckpt >= self.checkpoint_interval {
-            self.since_ckpt = 0;
-            let _ = self.out.send(FromShard::Checkpoint {
-                seq,
-                snapshot: self.kernel.clone(),
-            });
-        }
-    }
-
-    /// Publish both the filter snapshot and the sketch view.
-    fn publish_all(&mut self) {
-        publish_filter(&self.kernel, &self.snap, &mut self.items, self.gen);
-        publish_view(&self.kernel, &self.snap, self.gen);
-    }
-}
-
 /// The shard-worker loop: apply batches through the sequential kernel,
 /// publish snapshots on their intervals, checkpoint for the journal, and
-/// publish one final time when the control channel disconnects.
-///
-/// On the ring plane the loop greedily drains the data ring, polls the
-/// control channel, and parks on the ring (short slices) only when both
-/// are idle. Batches pushed before a control-plane `Sync` send
-/// happen-before it, so draining the ring on `Sync` sees every batch
-/// shipped before the barrier — the barrier's exactness is plane-
-/// independent. Shutdown is the control channel disconnecting; the ring
-/// is drained one last time first, so a clean shutdown loses nothing.
+/// publish one final time when the channel disconnects.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_worker<F, S>(
-    kernel: ASketch<F, S>,
+    mut kernel: ASketch<F, S>,
     rx: Receiver<ToShard>,
-    ring_rx: Option<ring::Consumer<RingBatch>>,
     out: Sender<FromShard<ASketch<F, S>>>,
     snap: Arc<ShardSnapshot<S>>,
     depth: Arc<AtomicUsize>,
@@ -1032,71 +856,55 @@ where
             slot.store(core, Ordering::Release);
         }
     }
-    let mut ctx = WorkerCtx {
-        kernel,
-        out,
-        snap,
-        depth,
-        gen,
-        publish_interval: cfg.publish_interval.max(1),
-        view_interval: cfg.view_interval.max(1),
-        checkpoint_interval: cfg.supervision.checkpoint_interval.max(1),
-        items: Vec::new(),
-        tuples: Vec::with_capacity(cfg.batch),
-        since_pub: 0,
-        since_view: 0,
-        since_ckpt: 0,
-    };
+    let publish_interval = cfg.publish_interval.max(1);
+    let view_interval = cfg.view_interval.max(1);
+    let checkpoint_interval = cfg.supervision.checkpoint_interval.max(1);
+    let mut items: Vec<FilterItem> = Vec::new();
+    let mut tuples: Vec<Tuple> = Vec::with_capacity(cfg.batch);
+    let (mut since_pub, mut since_view, mut since_ckpt) = (0u64, 0u64, 0u64);
     // Fresh (or respawned) worker: make the snapshot reflect this kernel
     // immediately so readers never regress behind a restart.
-    ctx.publish_all();
-    match ring_rx {
-        Some(ring) => loop {
-            let mut busy = false;
-            while let Some((seq, keys)) = ring.try_pop() {
-                busy = true;
-                ctx.apply(seq, &keys);
-            }
-            match rx.try_recv() {
-                Ok(ToShard::Batch { seq, keys }) => ctx.apply(seq, &keys),
-                Ok(ToShard::Sync { reply }) => {
-                    // Everything pushed before the barrier is visible
-                    // (see above): drain, then publish and answer.
-                    while let Some((seq, keys)) = ring.try_pop() {
-                        ctx.apply(seq, &keys);
-                    }
-                    ctx.publish_all();
-                    let _ = reply.send(ctx.kernel.ops_applied());
+    publish_filter(&kernel, &snap, &mut items, gen);
+    publish_view(&kernel, &snap, gen);
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            ToShard::Batch { seq, keys } => {
+                depth.fetch_sub(1, Ordering::Relaxed);
+                tuples.clear();
+                tuples.extend(keys.iter().map(|&k| (k, 1i64)));
+                kernel.update_batch(&tuples);
+                let n = keys.len() as u64;
+                since_pub += n;
+                since_view += n;
+                since_ckpt += n;
+                if since_pub >= publish_interval {
+                    since_pub = 0;
+                    publish_filter(&kernel, &snap, &mut items, gen);
                 }
-                Err(TryRecvError::Empty) => {
-                    if !busy {
-                        ring.park(WORKER_PARK_SLICE);
-                    }
+                if since_view >= view_interval {
+                    since_view = 0;
+                    publish_view(&kernel, &snap, gen);
                 }
-                Err(TryRecvError::Disconnected) => {
-                    while let Some((seq, keys)) = ring.try_pop() {
-                        ctx.apply(seq, &keys);
-                    }
-                    break;
+                if since_ckpt >= checkpoint_interval {
+                    since_ckpt = 0;
+                    let _ = out.send(FromShard::Checkpoint {
+                        seq,
+                        snapshot: kernel.clone(),
+                    });
                 }
             }
-        },
-        None => {
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    ToShard::Batch { seq, keys } => ctx.apply(seq, &keys),
-                    ToShard::Sync { reply } => {
-                        ctx.publish_all();
-                        let _ = reply.send(ctx.kernel.ops_applied());
-                    }
-                }
+            ToShard::Sync { reply } => {
+                publish_filter(&kernel, &snap, &mut items, gen);
+                publish_view(&kernel, &snap, gen);
+                let _ = reply.send(kernel.ops_applied());
             }
         }
     }
-    // Disconnected: final publish so handles outlive the runtime
+    // Channel disconnected: final publish so handles outlive the runtime
     // (dropped if this worker was abandoned and its generation retired).
-    ctx.publish_all();
-    ctx.kernel
+    publish_filter(&kernel, &snap, &mut items, gen);
+    publish_view(&kernel, &snap, gen);
+    kernel
 }
 
 /// The core a pinned worker for `shard_idx` targets, `None` when pinning
@@ -1122,26 +930,16 @@ where
     let (tx, rx) = channel::bounded::<ToShard>(cfg.supervision.queue_capacity);
     // Checkpoints are unbounded: the worker must never block on the caller.
     let (out_tx, out_rx) = channel::unbounded::<FromShard<ASketch<F, S>>>();
-    let (ring_tx, ring_rx, capacity) = match cfg.data_plane {
-        DataPlane::Ring => {
-            let (p, c) = ring::spsc::<RingBatch>(cfg.supervision.queue_capacity.max(2));
-            let capacity = p.capacity();
-            (Some(p), Some(c), capacity)
-        }
-        DataPlane::Channel => (None, None, cfg.supervision.queue_capacity),
-    };
     let pin = worker_core(cfg, shard_idx).map(|core| (core, Arc::clone(pinned)));
     pinned.store(UNPINNED, Ordering::Release);
     let snap = Arc::clone(snap);
     let depth = Arc::clone(depth);
     let cfg = cfg.clone();
     let handle = std::thread::spawn(move || {
-        run_shard_worker(kernel, rx, ring_rx, out_tx, snap, depth, gen, cfg, pin)
+        run_shard_worker(kernel, rx, out_tx, snap, depth, gen, cfg, pin)
     });
     ShardLink {
         tx,
-        ring: ring_tx,
-        capacity,
         rx: out_rx,
         handle,
     }
@@ -1317,10 +1115,7 @@ where
             }
             self.journal.reset(restored.clone());
             // The respawned worker publishes the restored state on entry,
-            // so readers catch up without waiting a publish interval. It
-            // gets a *fresh* ring (like the fresh depth gauge): batches
-            // stranded in the abandoned worker's ring are journaled, so
-            // the restore already covers them.
+            // so readers catch up without waiting a publish interval.
             self.link = Some(spawn_shard_worker(
                 restored,
                 &self.snap,
@@ -1350,7 +1145,7 @@ where
                 return;
             };
             self.depth.fetch_add(1, Ordering::Relaxed);
-            match link.try_send_data(msg) {
+            match link.tx.try_send(msg) {
                 Ok(()) => {}
                 Err(TrySendError::Full(m)) => {
                     self.depth.fetch_sub(1, Ordering::Relaxed);
@@ -1374,7 +1169,7 @@ where
                 return;
             };
             self.depth.fetch_add(1, Ordering::Relaxed);
-            match link.send_data_timeout(msg, cfg.supervision.send_timeout) {
+            match link.tx.send_timeout(msg, cfg.supervision.send_timeout) {
                 Ok(()) => {}
                 Err(SendTimeoutError::Timeout(_)) => {
                     self.depth.fetch_sub(1, Ordering::Relaxed);
@@ -1412,7 +1207,7 @@ where
             return;
         };
         self.depth.fetch_add(1, Ordering::Relaxed);
-        match link.send_data_timeout(msg, cfg.supervision.send_timeout) {
+        match link.tx.send_timeout(msg, cfg.supervision.send_timeout) {
             Ok(()) => {}
             Err(SendTimeoutError::Timeout(_)) => {
                 self.depth.fetch_sub(1, Ordering::Relaxed);
@@ -1472,7 +1267,8 @@ where
             .link
             .as_ref()
             .expect("worker link checked above")
-            .try_send_data(msg);
+            .tx
+            .try_send(msg);
         match sent {
             Ok(()) => {}
             Err(TrySendError::Full(m)) => {
@@ -1491,17 +1287,17 @@ where
     }
 
     /// Whether one more shipped batch stays within `bound` in-flight
-    /// batches on this shard's data plane (clamped to the plane's real
+    /// batches on this shard's channel (clamped to the channel's
     /// capacity). Degraded shards apply inline — always room; a non-empty
-    /// spill means the plane is already backed up past its capacity.
-    fn data_room(&self, bound: usize) -> bool {
-        let Some(link) = self.link.as_ref() else {
+    /// spill means the channel is already backed up past its capacity.
+    fn data_room(&self, bound: usize, cfg: &ConcurrentConfig) -> bool {
+        if self.link.is_none() {
             return true;
-        };
+        }
         if !self.spill.is_empty() {
             return false;
         }
-        self.depth.load(Ordering::Relaxed) < bound.min(link.capacity).max(1)
+        self.depth.load(Ordering::Relaxed) < bound.min(cfg.supervision.queue_capacity).max(1)
     }
 
     /// Barrier against this shard: every routed batch applied and published.
@@ -1519,10 +1315,6 @@ where
                 ToShard::Sync { reply: reply_tx },
                 cfg.supervision.send_timeout,
             );
-            // A ring-plane worker may be parked on an empty ring; the
-            // control send doesn't touch the park flag, so nudge it
-            // rather than waiting out a park slice.
-            link.wake_worker();
             match sent {
                 Ok(()) => match reply_rx.recv_timeout(cfg.supervision.send_timeout) {
                     Ok(_epoch) => {
@@ -1547,10 +1339,7 @@ where
         ShardGauge {
             shard,
             queue_depth: self.depth.load(Ordering::Relaxed),
-            queue_capacity: self
-                .link
-                .as_ref()
-                .map_or(cfg.supervision.queue_capacity, |l| l.capacity),
+            queue_capacity: cfg.supervision.queue_capacity,
             routed_ops: self.routed,
             published_epoch: self.snap.filter_epoch(),
             view_epoch: self.snap.view_epoch(),
@@ -1589,12 +1378,6 @@ where
                 .durable
                 .as_ref()
                 .map_or(0, |d| d.scrub.quarantined.load(Ordering::Relaxed)),
-            data_plane: cfg.data_plane.name().to_string(),
-            ring_depth: self
-                .link
-                .as_ref()
-                .and_then(|l| l.ring.as_ref())
-                .map_or(0, ring::Producer::len),
             wal_group_commits: self.durable.as_ref().map_or(0, |d| d.wal.group_commits()),
             wal_deferred_fsyncs: self.durable.as_ref().map_or(0, |d| d.deferred_fsyncs),
             pinned_core: (pinned != UNPINNED).then_some(pinned),
@@ -1780,7 +1563,7 @@ where
     /// Ship pre-partitioned mega-batches straight to their shards,
     /// bypassing the router's per-key accumulation: `batches[i]` goes to
     /// shard `i` whole — one journal sequence, one WAL record, and one
-    /// data-plane push per non-empty shard batch, however many network
+    /// channel send per non-empty shard batch, however many network
     /// requests were coalesced into it. The caller owns partitioning
     /// (via [`KeyPartition::shard_of`] from [`partition`](Self::partition))
     /// and per-shard key order; within a shard this is equivalent to
@@ -1808,7 +1591,7 @@ where
     }
 
     /// All-or-nothing [`insert_sharded`](Self::insert_sharded): ship only
-    /// if every targeted shard's data plane has room under `max_depth`
+    /// if every targeted shard's channel has room under `max_depth`
     /// in-flight batches (capacity-clamped). Returns `false` — leaving
     /// every batch untouched for the caller to retry or shed — when any
     /// target is backed up. The probe-then-ship pair is race-free because
@@ -1818,10 +1601,9 @@ where
     /// Same contract as [`insert_sharded`](Self::insert_sharded).
     pub fn try_insert_sharded(&mut self, batches: &mut [Vec<u64>], max_depth: usize) -> bool {
         assert_eq!(batches.len(), self.shards.len(), "one batch slot per shard");
-        let room = batches
-            .iter()
-            .enumerate()
-            .all(|(shard, batch)| batch.is_empty() || self.shards[shard].data_room(max_depth));
+        let room = batches.iter().enumerate().all(|(shard, batch)| {
+            batch.is_empty() || self.shards[shard].data_room(max_depth, &self.cfg)
+        });
         if room {
             self.insert_sharded(batches);
         }
@@ -1902,7 +1684,7 @@ where
     }
 
     /// All-or-nothing [`insert_sessioned`](Self::insert_sessioned):
-    /// admission-probe the data plane of every shard that would actually
+    /// admission-probe the channel of every shard that would actually
     /// receive keys (non-empty and not deduped) and return `None` —
     /// batches untouched, marks unmoved — when any is backed up past
     /// `max_depth` in-flight batches. A write the marks fully cover is
@@ -1921,7 +1703,9 @@ where
         assert_eq!(batches.len(), self.shards.len(), "one batch slot per shard");
         let hwms = self.sessions.touch(session_id, batches.len());
         let room = batches.iter().enumerate().all(|(shard, batch)| {
-            batch.is_empty() || hwms[shard] >= seq || self.shards[shard].data_room(max_depth)
+            batch.is_empty()
+                || hwms[shard] >= seq
+                || self.shards[shard].data_room(max_depth, &self.cfg)
         });
         if !room {
             return None;
@@ -1929,7 +1713,7 @@ where
         Some(self.insert_sessioned(session_id, seq, batches))
     }
 
-    /// Deepest data-plane queue across shards, in in-flight batches — the
+    /// Deepest shard channel across shards, in in-flight batches — the
     /// admission-control signal serving layers compare against their
     /// high-water mark.
     pub fn max_queue_depth(&self) -> usize {
@@ -2769,8 +2553,17 @@ mod tests {
         };
         let data = stream(30_000);
         let mut rt = ConcurrentASketch::spawn(cfg, make);
+        // A router blocked on a full channel sees the dead worker at once
+        // (its receiver drops), so fail-over never waits out the default
+        // 30 s `send_timeout`.
+        let started = Instant::now();
         rt.insert_batch(&data);
         rt.sync();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(10),
+            "fail-over stalled for {took:?}"
+        );
         let health = rt.health();
         assert!(
             health.total_restarts() >= 1,
@@ -3220,7 +3013,14 @@ mod tests {
         let (mut rt, _) =
             ConcurrentASketch::spawn_durable(cfg.clone(), &opts, |i| kernel(90 + i as u64))
                 .unwrap();
-        rt.insert_batch(&data);
+        // Deterministic scheduling: the first half crosses two checkpoint
+        // intervals, and `sync` harvests those checkpoints, which hands
+        // the (stalled) snapshot to the background thread before the rest
+        // of the stream is routed.
+        let (first, rest) = data.split_at(data.len() / 2);
+        rt.insert_batch(first);
+        rt.sync();
+        rt.insert_batch(rest);
         let acked = rt.wal_checkpoint().unwrap();
         assert_eq!(acked, 4_096, "every routed key must be acked durable");
         // Wait until the snapshotter is provably inside a `.tmp` write (the
@@ -3785,64 +3585,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The two data planes are semantically interchangeable: the same
-    /// stream through a ring-plane and a channel-plane runtime answers
-    /// every key identically, and both match the sequential reference.
+    /// Chaos: a tiny shard channel under a panicking worker. The channel
+    /// fills (Full → backpressure policy), the panic abandons batches
+    /// still queued in it, and fail-over replaces the channel wholesale —
+    /// the journal restore covers the stranded batches, so nothing is lost
+    /// and nothing is applied twice (the generation-check discipline).
     #[test]
-    fn ring_and_channel_planes_answer_identically() {
-        let data = stream(25_000);
-        let mut results = Vec::new();
-        for plane in [DataPlane::Ring, DataPlane::Channel] {
-            let cfg = ConcurrentConfig {
-                shards: 3,
-                batch: 32,
-                publish_interval: 128,
-                view_interval: 512,
-                data_plane: plane,
-                ..ConcurrentConfig::default()
-            };
-            let mut rt = ConcurrentASketch::spawn(cfg, |i| kernel(200 + i as u64));
-            rt.insert_batch(&data);
-            rt.sync();
-            let health = rt.health();
-            for g in &health.shards {
-                assert_eq!(g.data_plane, plane.name());
-                assert_eq!(g.ring_depth, 0, "post-sync ring must be drained: {g:?}");
-            }
-            results.push(rt);
-        }
-        let p = results[0].partition();
-        let reference = sequential_reference(&data, p, |i| kernel(200 + i as u64));
-        let mut keys: Vec<u64> = data.clone();
-        keys.sort_unstable();
-        keys.dedup();
-        for &key in &keys {
-            let expected = reference[p.shard_of(key)].estimate(key);
-            assert_eq!(results[0].estimate(key), expected, "ring plane, key {key}");
-            assert_eq!(
-                results[1].estimate(key),
-                expected,
-                "channel plane, key {key}"
-            );
-        }
-    }
-
-    /// Chaos: a tiny ring under a panicking worker. The ring fills (Full →
-    /// backpressure policy), the panic abandons batches *inside* the ring,
-    /// and fail-over must replace the ring wholesale — the journal restore
-    /// covers the stranded batches, so nothing is lost and nothing is
-    /// applied twice (the PR-1 generation-check discipline, now over the
-    /// ring plane).
-    #[test]
-    fn ring_full_backpressure_with_worker_panic_stays_exact() {
+    fn full_queue_backpressure_with_worker_panic_stays_exact() {
         let cfg = ConcurrentConfig {
             shards: 2,
             batch: 16,
             publish_interval: 64,
             view_interval: 256,
-            data_plane: DataPlane::Ring,
             supervision: SupervisionConfig {
-                queue_capacity: 4, // ring rounds to 4 slots — fills constantly
+                queue_capacity: 4, // 4 in-flight batches — fills constantly
                 checkpoint_interval: 64,
                 max_restarts: 3,
                 restart_backoff: Duration::from_millis(1),
@@ -3856,7 +3612,7 @@ mod tests {
                 VectorFilter::new(8),
                 FaultyEstimator::new(
                     CountMin::new(140 + i as u64, 4, 1 << 12).unwrap(),
-                    FaultPlan::panic_at(500).with_message("injected ring-plane crash"),
+                    FaultPlan::panic_at(500).with_message("injected full-queue crash"),
                 ),
             )
         };
@@ -4119,7 +3875,7 @@ mod tests {
         let batch = vec![1u64, 2, 3, 4];
         let out = rt
             .try_insert_sessioned(5, 1, &mut partitioned(p, &batch), usize::MAX)
-            .expect("plane has room");
+            .expect("channel has room");
         assert_eq!(out.applied, batch.len());
         // With a zero-depth probe a *fresh* write may be shed, but a
         // fully-deduped retry must still come back as an ack — the

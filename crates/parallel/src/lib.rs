@@ -41,14 +41,13 @@ pub mod concurrent;
 pub mod fault;
 pub mod pipeline;
 pub mod pipeline_hudaf;
-pub mod ring;
 pub mod router;
 pub mod seqlock;
 pub mod session;
 pub mod spmd;
 pub mod supervisor;
 
-pub use concurrent::{ConcurrentASketch, ConcurrentConfig, DataPlane, QueryHandle, ShardSnapshot};
+pub use concurrent::{ConcurrentASketch, ConcurrentConfig, QueryHandle, ShardSnapshot};
 pub use fault::{FaultPlan, FaultyEstimator};
 pub use pipeline::PipelineASketch;
 pub use pipeline_hudaf::PipelineHUdaf;

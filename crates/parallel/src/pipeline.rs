@@ -1117,8 +1117,12 @@ mod tests {
     #[test]
     fn stats_surface_reports_activity() {
         let mut p = pipeline(2);
-        p.insert(1);
-        p.insert(2);
+        // Heavy filter residents keep min_count above key 3's count, so
+        // key 3 is never promoted and all 50 inserts are forwarded.
+        for _ in 0..100 {
+            p.insert(1);
+            p.insert(2);
+        }
         for _ in 0..50 {
             p.insert(3);
         }

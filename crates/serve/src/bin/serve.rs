@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--shards N] [--batch N] [--queue N]
-//!       [--bytes N] [--depth N] [--filter-items N] [--seed N]
-//!       [--data-plane ring|channel] [--pin-workers]
+//!       [--bytes N] [--depth N] [--filter-items N] [--seed N] [--pin-workers]
 //!       [--io-model reactor|threaded] [--reactors N] [--staging-keys N]
 //!       [--shed] [--verbose]
 //! ```
@@ -23,7 +22,7 @@ use std::process::ExitCode;
 
 use asketch::filter::VectorFilter;
 use asketch::ASketch;
-use asketch_parallel::{BackpressurePolicy, ConcurrentASketch, ConcurrentConfig, DataPlane};
+use asketch_parallel::{BackpressurePolicy, ConcurrentASketch, ConcurrentConfig};
 use asketch_serve::{IoModel, ServeConfig, Server};
 use sketches::CountMin;
 
@@ -36,7 +35,6 @@ struct Args {
     depth: usize,
     filter_items: usize,
     seed: u64,
-    data_plane: DataPlane,
     pin_workers: bool,
     io_model: IoModel,
     reactors: usize,
@@ -56,7 +54,6 @@ impl Default for Args {
             depth: 4,
             filter_items: 32,
             seed: 0x5EED_2016,
-            data_plane: DataPlane::default(),
             pin_workers: false,
             io_model: IoModel::default(),
             reactors: 0,
@@ -81,13 +78,6 @@ fn parse_args() -> Result<Args, String> {
             "--depth" => args.depth = parse_num(&value("--depth")?)?,
             "--filter-items" => args.filter_items = parse_num(&value("--filter-items")?)?,
             "--seed" => args.seed = parse_num(&value("--seed")?)? as u64,
-            "--data-plane" => {
-                args.data_plane = match value("--data-plane")?.as_str() {
-                    "ring" => DataPlane::Ring,
-                    "channel" => DataPlane::Channel,
-                    other => return Err(format!("bad --data-plane {other} (ring|channel)")),
-                }
-            }
             "--pin-workers" => args.pin_workers = true,
             "--io-model" => {
                 args.io_model = match value("--io-model")?.as_str() {
@@ -124,8 +114,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: serve [--addr HOST:PORT] [--shards N] [--batch N] [--queue N] \
-                 [--bytes N] [--depth N] [--filter-items N] [--seed N] \
-                 [--data-plane ring|channel] [--pin-workers] \
+                 [--bytes N] [--depth N] [--filter-items N] [--seed N] [--pin-workers] \
                  [--io-model reactor|threaded] [--reactors N] [--staging-keys N] \
                  [--shed] [--verbose]"
             );
@@ -138,7 +127,6 @@ fn main() -> ExitCode {
     let rt_cfg = ConcurrentConfig {
         shards,
         batch: args.batch.max(1),
-        data_plane: args.data_plane,
         pin_workers: args.pin_workers,
         ..ConcurrentConfig::default()
     };

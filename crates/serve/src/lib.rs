@@ -2,7 +2,7 @@
 //!
 //! A pipelined, length-prefixed binary protocol (see [`frame`] and
 //! DESIGN.md §14) with the split the runtime was built for: writes flow
-//! into the supervised shard data plane of
+//! into the supervised shard channels of
 //! [`asketch_parallel::ConcurrentASketch`], reads come straight off the
 //! seqlock filter snapshots via [`asketch_parallel::QueryHandle`] and
 //! never queue behind ingest.

@@ -19,7 +19,7 @@
 //!    nothing touches the socket yet.
 //! 3. **Flush** — staged keys ship to the runtime as one mega-batch per
 //!    shard ([`ConcurrentASketch::insert_sharded`]): one journal sequence
-//!    and one ring push per shard per wakeup instead of one per frame.
+//!    and one channel send per shard per wakeup instead of one per frame.
 //! 4. **Write** — each touched connection's responses go out in a single
 //!    write syscall. Short writes arm `EPOLLOUT` and resume exactly where
 //!    they stopped next wakeup.
@@ -32,10 +32,10 @@
 //! exactly as in the threaded engine.
 //!
 //! *Backpressure*: under [`BackpressurePolicy::Block`] the staging flush
-//! blocks until the rings accept the batch; reads are bounded per wakeup,
-//! so a flooding client fills its kernel buffers and stalls (end-to-end
-//! TCP backpressure, zero shed). Under `InlineFallback` an arriving frame
-//! that cannot fit probes the runtime's in-flight depth
+//! blocks until the shard channels accept the batch; reads are bounded
+//! per wakeup, so a flooding client fills its kernel buffers and stalls
+//! (end-to-end TCP backpressure, zero shed). Under `InlineFallback` an
+//! arriving frame that cannot fit probes the runtime's in-flight depth
 //! ([`ConcurrentASketch::try_insert_sharded`], all-or-nothing) and the
 //! frame is shed whole with `ERROR overloaded` when there is no room —
 //! accepted keys are never dropped, shed keys are never staged, so the
@@ -43,7 +43,7 @@
 //!
 //! *Durability*: the staging flush runs **before** the write pass, and
 //! `insert_sharded` journals before it sends — so by the time an `OK`
-//! reaches a client, its keys have a journal sequence and a ring slot
+//! reaches a client, its keys have a journal sequence and a queue slot
 //! (at least as strong as the threaded engine's accepted-queue
 //! guarantee). SYNC flushes this reactor's staging, then runs the
 //! runtime barrier + WAL checkpoint under the core lock.
@@ -51,8 +51,8 @@
 //! # The core lock
 //!
 //! The runtime lives in an `Arc<Mutex<Option<..>>>` shared by the
-//! reactors. The mutex serializes flushes, which is what preserves the
-//! ring's single-producer invariant with N reactor threads; it is taken
+//! reactors. The mutex serializes flushes, which is what keeps the
+//! runtime's router single-writer with N reactor threads; it is taken
 //! once per mega-batch (not per frame), so it is far off the hot path.
 //! Shutdown joins the reactors first (each does a final blocking flush),
 //! then takes the runtime out and finishes it with its documented
@@ -415,7 +415,7 @@ where
                 }
             }
             // Flush BEFORE the write pass: an OK that reaches a socket is
-            // always backed by journaled, ring-resident keys.
+            // always backed by journaled, queued keys.
             self.flush_blocking();
             if self.last_reap.elapsed() >= REAP_INTERVAL {
                 self.reap();
@@ -851,7 +851,7 @@ where
         cells.mega_batch_keys.store(keys, Ordering::Relaxed);
     }
 
-    /// Ship everything staged, blocking on ring room if needed. Never
+    /// Ship everything staged, blocking on channel room if needed. Never
     /// loses accepted keys.
     fn flush_blocking(&mut self) {
         if self.staging.is_empty() {

@@ -25,7 +25,7 @@
 //!   holds the batch, so a later operation (or explicit
 //!   [`ResilientClient::sync`]) finishes the job without duplication.
 //!
-//! An `OK_SEQ` ack means *journaled and ring-resident*, not fsynced:
+//! An `OK_SEQ` ack means *journaled and queued to its shard*, not fsynced:
 //! the replay window is only trimmed at [`ResilientClient::sync`]
 //! barriers (or by a `HELLO_ACK` floor on reconnect, which reflects
 //! recovered durable state). A SIGKILL that eats the tail of the WAL

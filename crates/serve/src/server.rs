@@ -8,8 +8,8 @@
 //!   plane in [`crate::reactor`]: N epoll reactor threads own disjoint
 //!   nonblocking connection sets, decode frames in place, coalesce
 //!   UPDATE keys **across connections** into per-shard staging buffers
-//!   flushed straight into the runtime's shard rings (one journal seq +
-//!   one ring push per shard mega-batch), and answer reads on the
+//!   flushed straight into the runtime's shard channels (one journal
+//!   seq + one send per shard mega-batch), and answer reads on the
 //!   reactor thread from the wait-free [`QueryHandle`] snapshots.
 //! - [`IoModel::Threaded`] — the portable thread-per-connection engine
 //!   in [`crate::threaded`]: blocking sockets, a bounded ingest channel,
@@ -83,7 +83,7 @@ pub struct ServeConfig {
     /// Ingest backpressure depth, in batches. Threaded engine: capacity
     /// of the command queue between connection threads and the writer.
     /// Reactor engine: the bound on in-flight mega-batches per shard
-    /// data plane that the shed policy probes before accepting more.
+    /// channel that the shed policy probes before accepting more.
     pub ingest_queue: usize,
     /// What ingest saturation does to an UPDATE: `Block` (TCP
     /// backpressure) or `InlineFallback` (shed with an error frame).

@@ -4,13 +4,13 @@
 //! from *all* of its connections are partitioned straight into per-shard
 //! buckets as they are decoded, then flushed as one mega-batch through
 //! [`ConcurrentASketch::insert_sharded`] — one journal sequence and one
-//! ring push per shard per flush, instead of one per request frame.
+//! channel send per shard per flush, instead of one per request frame.
 //!
 //! Flushing comes in two strengths matching the two backpressure
 //! policies:
 //!
 //! - [`Staging::flush_blocking`] always ships (under
-//!   [`asketch_parallel::BackpressurePolicy::Block`] a full ring blocks
+//!   [`asketch_parallel::BackpressurePolicy::Block`] a full channel blocks
 //!   the reactor briefly; under `InlineFallback` overflow spills). Used
 //!   by the Block policy, by SYNC barriers, and at shutdown — staged
 //!   keys that were acknowledged are never dropped.

@@ -26,28 +26,14 @@ echo "==> throughput bench smoke (batched vs scalar gate)"
 # the full-sweep baseline and must not be overwritten by a smoke run.
 THROUGHPUT_SMOKE="$(mktemp)"
 BASELINE_TMP="$(mktemp)"
-trap 'rm -f "$THROUGHPUT_SMOKE" "$BASELINE_TMP"' EXIT
+# Likewise the concurrent and recovery smokes: the committed
+# BENCH_concurrent.json and BENCH_recovery.json are not smoke runs.
+CONCURRENT_SMOKE="$(mktemp)"
+RECOVERY_SMOKE="$(mktemp)"
+trap 'rm -f "$THROUGHPUT_SMOKE" "$BASELINE_TMP" "$CONCURRENT_SMOKE" "$RECOVERY_SMOKE"' EXIT
 cargo run -q -p asketch-bench --release --bin throughput -- --smoke --out "$THROUGHPUT_SMOKE"
 cargo run -q -p asketch-bench --release --bin throughput -- \
     --validate "$THROUGHPUT_SMOKE" --min-speedup 1.5
-
-echo "==> ingest spine gate (SPSC ring vs channel data plane)"
-# The smoke above also swept the router->worker data plane (spine rows in
-# the smoke artifact). The ring must beat the channel by 1.2x in its
-# best cell -- but the ring's win is avoided cross-core handoff cost, so
-# it needs at least two real cores to exist: on one CPU the router and
-# workers time-slice the same core and both planes degenerate into the
-# same serialized memcpy (measured ~1.0-1.15x there). Hold a structural
-# no-regression line (ring not slower than 0.9x channel) and say so.
-if [ "$CORES" -ge 2 ]; then
-    MIN_RING=1.2
-else
-    MIN_RING=0.9
-    echo "WARNING: only $CORES CPU(s); relaxing ring-vs-channel gate to ${MIN_RING}x" \
-         "(full bar is 1.2x on >=2 cores, where the ring skips a cross-core hop)"
-fi
-cargo run -q -p asketch-bench --release --bin throughput -- \
-    --validate-spine "$THROUGHPUT_SMOKE" --min-ring-speedup "$MIN_RING"
 
 echo "==> concurrent runtime smoke (wait-free read + shard-scaling gate)"
 # The wait-free gate (measured reader_blocked == 0 on every row) is
@@ -64,9 +50,9 @@ else
          "(full bar is 2.0x on >=4 cores)"
 fi
 cargo run -q -p asketch-bench --release --bin throughput -- \
-    --concurrent --smoke --out BENCH_concurrent.json
+    --concurrent --smoke --out "$CONCURRENT_SMOKE"
 cargo run -q -p asketch-bench --release --bin throughput -- \
-    --validate-concurrent BENCH_concurrent.json --min-scaling "$MIN_SCALING"
+    --validate-concurrent "$CONCURRENT_SMOKE" --min-scaling "$MIN_SCALING"
 
 echo "==> bench regression gate (fresh smoke vs committed baseline) + layout gate"
 # Compare the smoke artifact from the step above to the committed baseline
@@ -102,9 +88,9 @@ else
          "(full bar is 0.15 on >=2 cores, where durability work overlaps ingest)"
 fi
 cargo run -q -p asketch-bench --release --bin throughput -- \
-    --recovery --smoke --out BENCH_recovery.json
+    --recovery --smoke --out "$RECOVERY_SMOKE"
 cargo run -q -p asketch-bench --release --bin throughput -- \
-    --validate-recovery BENCH_recovery.json --max-overhead "$MAX_OVERHEAD"
+    --validate-recovery "$RECOVERY_SMOKE" --max-overhead "$MAX_OVERHEAD"
 
 echo "==> durability: crash-injection recovery smoke (SIGKILL loop)"
 # Every trial SIGKILLs a durable ingest child at a random point and
