@@ -63,6 +63,7 @@ use asketch_serve::{
     ChaosConfig, ChaosProxy, FaultKind as NetFault, ResilientClient, RetryPolicy, ServeConfig,
     Server,
 };
+use eval_metrics::artifact::git_commit;
 use sketches::CountMin;
 
 /// Distinct keys in the child's round-robin stream. Must stay below
@@ -767,17 +768,6 @@ fn json_escape(s: &str) -> String {
             c => vec![c],
         })
         .collect()
-}
-
-fn git_commit() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn write_faults_json(

@@ -57,6 +57,7 @@ use asketch_parallel::{BackpressurePolicy, ConcurrentASketch, ConcurrentConfig};
 use asketch_serve::{
     decode_response, encode_request, Client, IoModel, Request, Response, ServeConfig, Server,
 };
+use eval_metrics::artifact::{git_commit, json_f64};
 use sketches::CountMin;
 use streamgen::{ExactCounter, StreamSpec};
 
@@ -486,25 +487,6 @@ fn many_conns_smoke(n: usize, io_model: IoModel) {
 // ---------------------------------------------------------------------------
 // Artifact + gate
 // ---------------------------------------------------------------------------
-
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
-    }
-}
 
 fn write_json(path: &str, smoke: bool, exact_keys: usize, rows: &[Row]) -> std::io::Result<()> {
     let mut out = String::new();

@@ -50,6 +50,7 @@ use asketch::filter::{FilterKind, VectorFilter};
 use asketch::{ASketch, AsketchBuilder, DurabilityOptions, FsyncPolicy};
 use asketch_durable::recover_kernel;
 use asketch_parallel::{hash_shards, ConcurrentASketch, ConcurrentConfig, SpmdGroup};
+use eval_metrics::artifact::{git_commit, json_f64};
 use eval_metrics::{observed_error_pct, EstimatePair};
 use sketches::{BlockedCountMin, BlockedCountMin32, CountMin, Fcm, FrequencyEstimator};
 use streamgen::{query, ExactCounter, StreamSpec};
@@ -219,25 +220,6 @@ fn run_one(cfg: RunConfig, stream: &[u64], queries: &[u64]) -> RunResult {
         updates_per_ms,
         estimate_p50_ns: p50,
         estimate_p99_ns: p99,
-    }
-}
-
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
     }
 }
 

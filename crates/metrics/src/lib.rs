@@ -2,11 +2,13 @@
 //!
 //! The accuracy metrics of paper §7.1 ([`error`]), items-per-millisecond
 //! throughput timing ([`throughput`]), and plain-text table rendering for
-//! the experiment harness ([`table`]).
+//! the experiment harness ([`table`]), plus the provenance helpers the
+//! bench binaries' JSON artifacts share ([`artifact`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 pub mod error;
 pub mod runtime;
 pub mod serving;

@@ -2,10 +2,11 @@
 //! pipelines: one `Mutex` + two `Condvar`s around a `VecDeque`.
 //!
 //! Semantics the supervisors depend on: a bounded capacity that blocks
-//! senders, `send_timeout` and `recv_timeout`, cloneable senders, and
-//! disconnection once every handle on the other side is dropped (a
-//! receiver still drains queued messages first; dropping the receiver
-//! drops whatever is still queued). std's `mpsc` lacks a
+//! senders, `send_timeout` and `recv_timeout`, cloneable senders, the
+//! queue length (the shard queue-depth gauge), and disconnection once
+//! every handle on the other side is dropped (a receiver still drains
+//! queued messages first, which is how a worker shuts down; dropping the
+//! receiver drops whatever is still queued). std's `mpsc` lacks a
 //! stable `send_timeout`, which is why this module exists.
 
 use std::collections::VecDeque;
@@ -114,6 +115,16 @@ impl<T> Sender<T> {
     /// Block for at most `timeout` waiting for room.
     pub fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
         self.send_with(msg, Wait::Until(Instant::now() + timeout))
+    }
+
+    /// Messages queued right now (at most the capacity).
+    pub fn len(&self) -> usize {
+        self.shared.lock().queue.len()
+    }
+
+    /// Whether nothing is queued right now.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     fn send_with(&self, msg: T, wait: Wait) -> Result<(), SendTimeoutError<T>> {
@@ -262,7 +273,9 @@ mod tests {
         let ms = Duration::from_millis(5);
         let (tx, rx) = bounded(1);
         let tx2 = tx.clone();
+        assert!(tx.is_empty());
         tx.send(1).unwrap();
+        assert_eq!(tx2.len(), 1);
         assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
         assert_eq!(tx.send_timeout(2, ms), Err(SendTimeoutError::Timeout(2)));
         assert_eq!(rx.recv(), Ok(1));

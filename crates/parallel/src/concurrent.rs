@@ -10,12 +10,11 @@
 //! key's sub-stream — not a sum of per-kernel over-estimates like the SPMD
 //! combine. The caller routes keys through a [`KeyRouter`], accumulating
 //! per-shard batches (the PR-2 `update_batch` hot path) before sending them
-//! over bounded channels that reuse the supervision machinery of the
-//! pipeline runtime: journaled sequence numbers, worker checkpoints,
-//! bounded restarts with exponential backoff, and a degraded inline mode
-//! once the restart budget is spent. No failure mode loses or double-counts
-//! an update (checkpoint + journal replay, exactly as in
-//! [`crate::pipeline`]).
+//! over the same supervised link as the pipelines ([`crate::supervisor`]):
+//! journaled sequence numbers, worker checkpoints, bounded restarts with
+//! exponential backoff, and a degraded inline mode once the restart budget
+//! is spent. No failure mode loses or double-counts an update: a restore
+//! replays the journal on top of the last checkpoint.
 //!
 //! # Wait-free concurrent reads
 //!
@@ -70,13 +69,14 @@
 //! the gate — the read path stays wait-free.
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::channel::{self, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError};
+use crate::channel::{self, Receiver, Sender};
 
 use asketch::{ASketch, DurabilityError, DurabilityOptions, Filter, FilterItem, RecoveryReport};
 use asketch_durable::snapshot::{prune_snapshots_with, write_snapshot_sessions_with, SnapshotMeta};
@@ -96,7 +96,7 @@ use crate::seqlock::FilterSnapshot;
 use crate::session::{SessionOutcome, SessionTable};
 use crate::spmd::KeyPartition;
 use crate::supervisor::{
-    panic_message, BackpressurePolicy, Journal, PipelineError, SupervisionConfig,
+    join_by, CheckpointClock, FromWorker, Supervised, SupervisionConfig, Worker, WorkerOp,
 };
 
 /// Tunables for the concurrent sharded runtime.
@@ -272,28 +272,13 @@ fn publish_view<F: Filter, S: SharedView + UpdateEstimate>(
         .store(kernel.ops_applied(), Ordering::Release);
 }
 
-/// Messages from the router to a shard worker.
+/// Messages from the router to a shard worker. Shutdown is the channel
+/// disconnecting, so a dead worker shows up as `Disconnected` on any send.
 enum ToShard {
     /// One batch of keys owned by this shard, under one journal sequence.
     Batch { seq: u64, keys: Vec<u64> },
     /// Publish everything and reply with the applied-op count (barrier).
     Sync { reply: Sender<u64> },
-}
-
-/// Messages from a shard worker back to the router.
-enum FromShard<K> {
-    /// Periodic snapshot for the replay journal, tagged with the last
-    /// applied sequence number.
-    Checkpoint { seq: u64, snapshot: K },
-}
-
-/// Channel endpoints and join handle of one live shard worker. Data
-/// batches, sync barriers and shutdown (the channel disconnecting) all
-/// ride `tx`, so a dead worker shows up as `Disconnected` on any send.
-struct ShardLink<K> {
-    tx: Sender<ToShard>,
-    rx: Receiver<FromShard<K>>,
-    handle: JoinHandle<K>,
 }
 
 /// Convert a typed durability error into the health-gauge form: the
@@ -836,13 +821,11 @@ const WAL_SYNC_DWELL: Duration = Duration::from_millis(10);
 /// The shard-worker loop: apply batches through the sequential kernel,
 /// publish snapshots on their intervals, checkpoint for the journal, and
 /// publish one final time when the channel disconnects.
-#[allow(clippy::too_many_arguments)]
 fn run_shard_worker<F, S>(
     mut kernel: ASketch<F, S>,
     rx: Receiver<ToShard>,
-    out: Sender<FromShard<ASketch<F, S>>>,
+    out: Sender<FromWorker<ASketch<F, S>, Infallible>>,
     snap: Arc<ShardSnapshot<S>>,
-    depth: Arc<AtomicUsize>,
     gen: u64,
     cfg: ConcurrentConfig,
     pin: Option<(usize, Arc<AtomicUsize>)>,
@@ -858,10 +841,10 @@ where
     }
     let publish_interval = cfg.publish_interval.max(1);
     let view_interval = cfg.view_interval.max(1);
-    let checkpoint_interval = cfg.supervision.checkpoint_interval.max(1);
+    let mut clock = CheckpointClock::new(&cfg.supervision);
     let mut items: Vec<FilterItem> = Vec::new();
     let mut tuples: Vec<Tuple> = Vec::with_capacity(cfg.batch);
-    let (mut since_pub, mut since_view, mut since_ckpt) = (0u64, 0u64, 0u64);
+    let (mut since_pub, mut since_view) = (0u64, 0u64);
     // Fresh (or respawned) worker: make the snapshot reflect this kernel
     // immediately so readers never regress behind a restart.
     publish_filter(&kernel, &snap, &mut items, gen);
@@ -869,14 +852,12 @@ where
     while let Ok(msg) = rx.recv() {
         match msg {
             ToShard::Batch { seq, keys } => {
-                depth.fetch_sub(1, Ordering::Relaxed);
                 tuples.clear();
                 tuples.extend(keys.iter().map(|&k| (k, 1i64)));
                 kernel.update_batch(&tuples);
                 let n = keys.len() as u64;
                 since_pub += n;
                 since_view += n;
-                since_ckpt += n;
                 if since_pub >= publish_interval {
                     since_pub = 0;
                     publish_filter(&kernel, &snap, &mut items, gen);
@@ -885,13 +866,7 @@ where
                     since_view = 0;
                     publish_view(&kernel, &snap, gen);
                 }
-                if since_ckpt >= checkpoint_interval {
-                    since_ckpt = 0;
-                    let _ = out.send(FromShard::Checkpoint {
-                        seq,
-                        snapshot: kernel.clone(),
-                    });
-                }
+                clock.tick(seq, n, &kernel, &out);
             }
             ToShard::Sync { reply } => {
                 publish_filter(&kernel, &snap, &mut items, gen);
@@ -914,72 +889,89 @@ fn worker_core(cfg: &ConcurrentConfig, shard_idx: usize) -> Option<usize> {
         .then(|| shard_idx % affinity::available_cores())
 }
 
-fn spawn_shard_worker<F, S>(
-    kernel: ASketch<F, S>,
-    snap: &Arc<ShardSnapshot<S>>,
-    depth: &Arc<AtomicUsize>,
-    gen: u64,
-    cfg: &ConcurrentConfig,
+/// What one shard adds to its supervised link: the snapshot its worker
+/// publishes into, the writer generation it publishes under, and where
+/// the worker runs.
+struct ShardWorker<S: SharedView> {
     shard_idx: usize,
-    pinned: &Arc<AtomicUsize>,
-) -> ShardLink<ASketch<F, S>>
+    snap: Arc<ShardSnapshot<S>>,
+    /// The snapshot's current writer generation: held by the live worker
+    /// (or the inline kernel once degraded), bumped whenever a restored
+    /// kernel takes over.
+    writer_gen: u64,
+    /// Core the live worker pinned itself to ([`UNPINNED`] when pinning
+    /// is off, failed, or the worker hasn't started yet). Written by the
+    /// worker thread at startup, read by the gauge.
+    pinned: Arc<AtomicUsize>,
+    cfg: ConcurrentConfig,
+}
+
+impl<S: SharedView + UpdateEstimate> ShardWorker<S> {
+    /// Publish `kernel`'s filter and sketch view under this generation.
+    fn publish<F: Filter>(&self, kernel: &ASketch<F, S>) {
+        let mut items = Vec::new();
+        publish_filter(kernel, &self.snap, &mut items, self.writer_gen);
+        publish_view(kernel, &self.snap, self.writer_gen);
+    }
+}
+
+impl<F, S> Worker<ASketch<F, S>> for ShardWorker<S>
 where
     F: Filter + Clone + Send + 'static,
     S: SharedView + UpdateEstimate + Clone + Send + 'static,
 {
-    let (tx, rx) = channel::bounded::<ToShard>(cfg.supervision.queue_capacity);
-    // Checkpoints are unbounded: the worker must never block on the caller.
-    let (out_tx, out_rx) = channel::unbounded::<FromShard<ASketch<F, S>>>();
-    let pin = worker_core(cfg, shard_idx).map(|core| (core, Arc::clone(pinned)));
-    pinned.store(UNPINNED, Ordering::Release);
-    let snap = Arc::clone(snap);
-    let depth = Arc::clone(depth);
-    let cfg = cfg.clone();
-    let handle = std::thread::spawn(move || {
-        run_shard_worker(kernel, rx, out_tx, snap, depth, gen, cfg, pin)
-    });
-    ShardLink {
-        tx,
-        rx: out_rx,
-        handle,
+    type Msg = ToShard;
+    type Note = Infallible;
+
+    fn spawn(
+        &mut self,
+        kernel: ASketch<F, S>,
+        rx: Receiver<ToShard>,
+        out: Sender<FromWorker<ASketch<F, S>, Infallible>>,
+        _cfg: &SupervisionConfig,
+    ) -> JoinHandle<ASketch<F, S>> {
+        let pin =
+            worker_core(&self.cfg, self.shard_idx).map(|core| (core, Arc::clone(&self.pinned)));
+        self.pinned.store(UNPINNED, Ordering::Release);
+        let snap = Arc::clone(&self.snap);
+        let gen = self.writer_gen;
+        let cfg = self.cfg.clone();
+        std::thread::spawn(move || run_shard_worker(kernel, rx, out, snap, gen, cfg, pin))
+    }
+
+    fn ops(msg: &ToShard, mut op: impl FnMut(u64, i64)) {
+        if let ToShard::Batch { keys, .. } = msg {
+            for &key in keys {
+                op(key, 1);
+            }
+        }
+    }
+
+    /// Retire the old writer before anything republishes: an abandoned
+    /// worker that is still alive keeps draining its channel and
+    /// publishing, and the gate drops those stale publishes instead of
+    /// letting them race the replacement (torn pairs, epoch regression).
+    /// The restored kernel covers everything routed, so its publish never
+    /// moves an epoch backwards; a respawned worker publishes it again on
+    /// entry.
+    fn restored(&mut self, kernel: &ASketch<F, S>) {
+        self.writer_gen = self.snap.retire_writer();
+        self.publish(kernel);
     }
 }
 
-/// Caller-side state of one shard: the live worker (or the degraded inline
-/// kernel), its journal, snapshot, spill buffer, and fault counters.
+/// Caller-side state of one shard: its supervised worker link (or the
+/// degraded inline kernel), durability state, and routed-key count.
 struct ShardState<F, S>
 where
     F: Filter + Clone + Send + 'static,
     S: SharedView + UpdateEstimate + Clone + Send + 'static,
 {
-    shard_idx: usize,
-    link: Option<ShardLink<ASketch<F, S>>>,
-    journal: Journal<ASketch<F, S>>,
-    snap: Arc<ShardSnapshot<S>>,
-    /// Core the live worker pinned itself to ([`UNPINNED`] when pinning
-    /// is off, failed, or the worker hasn't started yet). Written by the
-    /// worker thread at startup, read by the gauge.
-    pinned: Arc<AtomicUsize>,
-    /// The snapshot's current writer generation: held by the live worker
-    /// (or the inline kernel once degraded), bumped on every fail-over.
-    writer_gen: u64,
-    /// Batches sent and not yet applied by the worker (queue depth gauge).
-    /// Replaced wholesale on fail-over — an abandoned worker keeps
-    /// decrementing its own (old) counter, which would otherwise wrap.
-    depth: Arc<AtomicUsize>,
-    spill: VecDeque<ToShard>,
-    /// The kernel applied inline once the restart budget is spent.
-    inline: Option<ASketch<F, S>>,
+    sup: Supervised<ASketch<F, S>, ShardWorker<S>>,
     /// Durability state (WAL + snapshot scheduling); `None` for a
     /// non-durable runtime.
     durable: Option<DurableShard<ASketch<F, S>>>,
     routed: u64,
-    queue_full_events: u64,
-    spilled: u64,
-    restarts: u64,
-    failures: u64,
-    checkpoints: u64,
-    last_error: Option<PipelineError>,
 }
 
 impl<F, S> ShardState<F, S>
@@ -1002,232 +994,46 @@ where
             writer_gen: Mutex::new(0),
         });
         snap.filter.publish(&items, kernel.ops_applied());
-        let journal = Journal::new(kernel.clone());
-        let depth = Arc::new(AtomicUsize::new(0));
-        let pinned = Arc::new(AtomicUsize::new(UNPINNED));
-        let link = spawn_shard_worker(kernel, &snap, &depth, 0, cfg, shard_idx, &pinned);
-        Self {
+        let worker = ShardWorker {
             shard_idx,
-            link: Some(link),
-            journal,
             snap,
-            pinned,
             writer_gen: 0,
-            depth,
-            spill: VecDeque::new(),
-            inline: None,
+            pinned: Arc::new(AtomicUsize::new(UNPINNED)),
+            cfg: cfg.clone(),
+        };
+        Self {
+            sup: Supervised::spawn(kernel, cfg.supervision.clone(), worker),
             durable,
             routed: 0,
-            queue_full_events: 0,
-            spilled: 0,
-            restarts: 0,
-            failures: 0,
-            checkpoints: 0,
-            last_error: None,
         }
     }
 
-    /// Harvest queued checkpoints; prunes the replay journal and (durable
-    /// runtimes) schedules a background snapshot from the checkpointed
-    /// kernel — the snapshot clone rides the checkpoint clone the worker
-    /// already paid for, and serialization happens on the snapshotter
-    /// thread, never here.
-    fn drain_checkpoints(&mut self) {
-        let Some(link) = self.link.as_ref() else {
-            return;
-        };
-        let mut received = Vec::new();
-        while let Ok(FromShard::Checkpoint { seq, snapshot }) = link.rx.try_recv() {
-            received.push((seq, snapshot));
-        }
-        for (seq, snapshot) in received {
-            self.checkpoints += 1;
-            if let Some(d) = self.durable.as_mut() {
-                d.schedule_snapshot(seq, snapshot.ops_applied(), &snapshot);
-            }
-            self.journal.on_checkpoint(seq, snapshot);
-        }
+    fn snap(&self) -> &Arc<ShardSnapshot<S>> {
+        &self.sup.worker().snap
     }
 
-    /// Apply a batch inline (degraded mode) and republish snapshots so
-    /// readers keep seeing fresh state.
-    fn apply_inline(&mut self, keys: &[u64]) {
-        let kernel = self
-            .inline
-            .as_mut()
-            .expect("degraded shard has an inline kernel");
-        kernel.insert_batch(keys);
-        let kernel = self
-            .inline
-            .as_ref()
-            .expect("degraded shard has an inline kernel");
-        let mut items = Vec::new();
-        publish_filter(kernel, &self.snap, &mut items, self.writer_gen);
-        publish_view(kernel, &self.snap, self.writer_gen);
+    /// Harvest queued checkpoints; they prune the replay journal and
+    /// (durable runtimes) schedule a background snapshot from the
+    /// checkpointed kernel — the snapshot clone rides the checkpoint clone
+    /// the worker already paid for, and serialization happens on the
+    /// snapshotter thread, never here.
+    fn harvest(&mut self) {
+        let durable = &mut self.durable;
+        self.sup.harvest(|seq, kernel| {
+            if let Some(d) = durable.as_mut() {
+                d.schedule_snapshot(seq, kernel.ops_applied(), kernel);
+            }
+        });
     }
 
-    /// Tear down a failed worker, reconstruct from checkpoint + journal,
-    /// and respawn or degrade. Mirrors the pipeline's fail-over (including
-    /// the no-resend rule: in-flight journaled batches are folded into the
-    /// restore, never retransmitted).
-    fn fail_over(&mut self, err: Option<PipelineError>, cfg: &ConcurrentConfig) {
-        let Some(link) = self.link.take() else { return };
-        self.failures += 1;
-        while let Ok(FromShard::Checkpoint { seq, snapshot }) = link.rx.try_recv() {
-            self.checkpoints += 1;
-            self.journal.on_checkpoint(seq, snapshot);
-        }
-        drop(link.tx);
-        let mut finished = link.handle.is_finished();
-        if !finished {
-            std::thread::sleep(Duration::from_millis(2));
-            finished = link.handle.is_finished();
-        }
-        let error = if finished {
-            match link.handle.join() {
-                Err(payload) => PipelineError::WorkerPanicked(panic_message(payload)),
-                Ok(_) => err.unwrap_or(PipelineError::Disconnected),
-            }
-        } else {
-            err.unwrap_or(PipelineError::EstimateTimeout)
-        };
-        self.last_error = Some(error);
-        // Spilled-but-unsent batches are journaled; the restore replays
-        // them, so the spill queue resets.
-        self.spill.clear();
-        // Retire the old writer before anything republishes: an abandoned
-        // worker that is still alive keeps draining its channel and
-        // publishing, and the gate drops those stale publishes instead of
-        // letting them race the replacement (torn pairs, epoch regression).
-        // The journal restore covers everything routed, so the replacement
-        // republishes at an epoch >= anything the old worker published.
-        self.writer_gen = self.snap.retire_writer();
-        // Fresh depth gauge: the abandoned worker keeps fetch_sub-ing its
-        // own counter for every batch it drains, which would wrap a shared
-        // one to ~2^64.
-        self.depth = Arc::new(AtomicUsize::new(0));
-        let restored = self.journal.restore();
-        if self.restarts < u64::from(cfg.supervision.max_restarts) {
-            self.restarts += 1;
-            let backoff = cfg.supervision.backoff_for(self.restarts);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            self.journal.reset(restored.clone());
-            // The respawned worker publishes the restored state on entry,
-            // so readers catch up without waiting a publish interval.
-            self.link = Some(spawn_shard_worker(
-                restored,
-                &self.snap,
-                &self.depth,
-                self.writer_gen,
-                cfg,
-                self.shard_idx,
-                &self.pinned,
-            ));
-        } else {
-            let mut items = Vec::new();
-            publish_filter(&restored, &self.snap, &mut items, self.writer_gen);
-            publish_view(&restored, &self.snap, self.writer_gen);
-            self.inline = Some(restored);
-        }
-    }
-
-    /// Flush as much of the spill queue as fits without blocking.
-    ///
-    /// The depth gauge is incremented *before* each send and rolled back
-    /// on failure (here and in every other send path): the worker
-    /// decrements on receive, so an increment-after-send would let the
-    /// decrement land first and transiently wrap the unsigned gauge.
-    fn flush_spill_try(&mut self, cfg: &ConcurrentConfig) {
-        while let Some(msg) = self.spill.pop_front() {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            match link.tx.try_send(msg) {
-                Ok(()) => {}
-                Err(TrySendError::Full(m)) => {
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.spill.push_front(m);
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.fail_over(None, cfg);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Flush the whole spill queue, waiting for channel space; a wedged
-    /// worker is failed over (the journal preserves every spilled batch).
-    fn flush_spill_sync(&mut self, cfg: &ConcurrentConfig) {
-        while let Some(msg) = self.spill.pop_front() {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            match link.tx.send_timeout(msg, cfg.supervision.send_timeout) {
-                Ok(()) => {}
-                Err(SendTimeoutError::Timeout(_)) => {
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.fail_over(Some(PipelineError::EstimateTimeout), cfg);
-                    return;
-                }
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.fail_over(None, cfg);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Append to the spill queue, degrading to a synchronous flush when the
-    /// spill itself is full — memory stays bounded, nothing is dropped.
-    fn push_spill(&mut self, msg: ToShard, cfg: &ConcurrentConfig) {
-        if self.spill.len() >= cfg.supervision.spill_capacity.max(1) {
-            let generation = self.failures;
-            self.flush_spill_sync(cfg);
-            if self.failures != generation || self.link.is_none() {
-                // Failed over mid-flush: `msg` is journaled and folded
-                // into the restore — abandon it or it double-counts.
-                return;
-            }
-        }
-        self.spilled += 1;
-        self.spill.push_back(msg);
-    }
-
-    /// Blocking send with a wedge bound.
-    fn send_sync(&mut self, msg: ToShard, cfg: &ConcurrentConfig) {
-        let Some(link) = self.link.as_ref() else {
-            return;
-        };
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        match link.tx.send_timeout(msg, cfg.supervision.send_timeout) {
-            Ok(()) => {}
-            Err(SendTimeoutError::Timeout(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                self.fail_over(Some(PipelineError::EstimateTimeout), cfg);
-            }
-            Err(SendTimeoutError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                self.fail_over(None, cfg);
-            }
-        }
-    }
-
-    /// Ship one full batch to this shard's worker: journal and WAL first
+    /// Ship one full batch to this shard's worker: WAL and journal first
     /// (so no failure mode can lose it), then send under the backpressure
     /// policy. The WAL record piggybacks on the journal's sequence number
     /// — one durable record per batch, written before the batch can reach
     /// the worker, so the on-disk log is always a prefix-or-equal of what
     /// any worker has applied.
-    fn ship(&mut self, keys: Vec<u64>, cfg: &ConcurrentConfig) {
-        self.ship_annotated(keys, cfg, None);
+    fn ship(&mut self, keys: Vec<u64>) {
+        self.ship_annotated(keys, None);
     }
 
     /// [`ship`](Self::ship) with an optional exactly-once session
@@ -1235,118 +1041,49 @@ where
     /// record: the mark becomes durable atomically with the keys it
     /// covers, so crash replay can never dedup a write it lost (or
     /// re-apply one it kept).
-    fn ship_annotated(&mut self, keys: Vec<u64>, cfg: &ConcurrentConfig, ann: Option<(u64, u64)>) {
+    fn ship_annotated(&mut self, keys: Vec<u64>, ann: Option<(u64, u64)>) {
         self.routed += keys.len() as u64;
-        let seq = self.journal.next_seq();
+        let seq = self.sup.next_seq();
         if let Some(d) = self.durable.as_mut() {
             d.append(seq, &keys, ann);
         }
-        if self.link.is_none() {
-            self.apply_inline(&keys);
+        if let Some((kernel, worker)) = self.sup.inline_mut() {
+            // Degraded: apply inline and republish so readers keep seeing
+            // fresh state.
+            kernel.insert_batch(&keys);
+            worker.publish(kernel);
             return;
         }
-        for &k in &keys {
-            self.journal.record_at(seq, k, 1);
-        }
-        self.drain_checkpoints();
-        let msg = ToShard::Batch { seq, keys };
-        // Fail-over generation discipline (see the pipeline): if the spill
-        // flush fails over, the journaled `msg` is already folded into the
-        // restored kernel — sending it too would double-count.
-        let generation = self.failures;
-        self.flush_spill_try(cfg);
-        if self.failures != generation || self.link.is_none() {
-            return;
-        }
-        if !self.spill.is_empty() {
-            self.push_spill(msg, cfg);
-            return;
-        }
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self
-            .link
-            .as_ref()
-            .expect("worker link checked above")
-            .tx
-            .try_send(msg);
-        match sent {
-            Ok(()) => {}
-            Err(TrySendError::Full(m)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                self.queue_full_events += 1;
-                match cfg.supervision.backpressure {
-                    BackpressurePolicy::Block => self.send_sync(m, cfg),
-                    BackpressurePolicy::InlineFallback => self.push_spill(m, cfg),
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                self.fail_over(None, cfg);
-            }
+        self.harvest();
+        self.sup.ship(seq, ToShard::Batch { seq, keys });
+    }
+
+    /// Barrier against this shard: every routed batch applied and
+    /// published. A degraded shard has already published inline.
+    fn sync(&mut self) {
+        let synced = self
+            .sup
+            .round_trip(WorkerOp::Sync, |reply| ToShard::Sync { reply });
+        if synced.is_some() {
+            self.harvest();
         }
     }
 
-    /// Whether one more shipped batch stays within `bound` in-flight
-    /// batches on this shard's channel (clamped to the channel's
-    /// capacity). Degraded shards apply inline — always room; a non-empty
-    /// spill means the channel is already backed up past its capacity.
-    fn data_room(&self, bound: usize, cfg: &ConcurrentConfig) -> bool {
-        if self.link.is_none() {
-            return true;
-        }
-        if !self.spill.is_empty() {
-            return false;
-        }
-        self.depth.load(Ordering::Relaxed) < bound.min(cfg.supervision.queue_capacity).max(1)
-    }
-
-    /// Barrier against this shard: every routed batch applied and published.
-    /// Bounded retries — each failed round trip consumes a restart (or ends
-    /// degraded, where state is already published inline).
-    fn sync(&mut self, cfg: &ConcurrentConfig) {
-        let max_rounds = u64::from(cfg.supervision.max_restarts) + 2;
-        for _ in 0..max_rounds {
-            self.flush_spill_sync(cfg);
-            let Some(link) = self.link.as_ref() else {
-                return; // degraded: apply_inline already published
-            };
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            let sent = link.tx.send_timeout(
-                ToShard::Sync { reply: reply_tx },
-                cfg.supervision.send_timeout,
-            );
-            match sent {
-                Ok(()) => match reply_rx.recv_timeout(cfg.supervision.send_timeout) {
-                    Ok(_epoch) => {
-                        self.drain_checkpoints();
-                        return;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.fail_over(Some(PipelineError::EstimateTimeout), cfg);
-                    }
-                    Err(RecvTimeoutError::Disconnected) => self.fail_over(None, cfg),
-                },
-                Err(SendTimeoutError::Timeout(_)) => {
-                    self.fail_over(Some(PipelineError::EstimateTimeout), cfg);
-                }
-                Err(SendTimeoutError::Disconnected(_)) => self.fail_over(None, cfg),
-            }
-        }
-    }
-
-    fn gauge(&self, shard: usize, cfg: &ConcurrentConfig) -> ShardGauge {
-        let pinned = self.pinned.load(Ordering::Acquire);
+    fn gauge(&self, shard: usize) -> ShardGauge {
+        let worker = self.sup.worker();
+        let stats = self.sup.stats();
+        let pinned = worker.pinned.load(Ordering::Acquire);
         ShardGauge {
             shard,
-            queue_depth: self.depth.load(Ordering::Relaxed),
-            queue_capacity: cfg.supervision.queue_capacity,
+            queue_depth: self.sup.queue_len(),
+            queue_capacity: self.sup.config().queue_capacity,
             routed_ops: self.routed,
-            published_epoch: self.snap.filter_epoch(),
-            view_epoch: self.snap.view_epoch(),
-            reader_retries: self.snap.reader_retries(),
-            restarts: self.restarts,
-            worker_failures: self.failures,
-            degraded: self.inline.is_some(),
+            published_epoch: worker.snap.filter_epoch(),
+            view_epoch: worker.snap.view_epoch(),
+            reader_retries: worker.snap.reader_retries(),
+            restarts: stats.restarts,
+            worker_failures: stats.worker_failures,
+            degraded: stats.degraded,
             recovered: self.durable.as_ref().is_some_and(|d| d.recovered),
             replayed_keys: self.durable.as_ref().map_or(0, |d| d.replayed_keys),
             wal_records: self.durable.as_ref().map_or(0, |d| d.wal_records),
@@ -1529,7 +1266,7 @@ where
         let shards: Vec<ShardState<F, S>> = (0..cfg.shards)
             .map(|i| ShardState::new(i, make_kernel(i), &cfg, None))
             .collect();
-        let snaps = Arc::new(shards.iter().map(|s| Arc::clone(&s.snap)).collect());
+        let snaps = Arc::new(shards.iter().map(|s| Arc::clone(s.snap())).collect());
         let router = KeyRouter::new(KeyPartition::new(cfg.shards), cfg.batch.max(1));
         let sessions = SessionTable::new(cfg.session_cap);
         Self {
@@ -1549,7 +1286,7 @@ where
     #[inline]
     pub fn insert(&mut self, key: u64) {
         if let Some((shard, batch)) = self.router.push(key) {
-            self.shards[shard].ship(batch, &self.cfg);
+            self.shards[shard].ship(batch);
         }
     }
 
@@ -1586,7 +1323,7 @@ where
                 "mis-partitioned key in shard {shard} batch"
             );
             let keys = std::mem::take(batch);
-            self.shards[shard].ship(keys, &self.cfg);
+            self.shards[shard].ship(keys);
         }
     }
 
@@ -1601,9 +1338,10 @@ where
     /// Same contract as [`insert_sharded`](Self::insert_sharded).
     pub fn try_insert_sharded(&mut self, batches: &mut [Vec<u64>], max_depth: usize) -> bool {
         assert_eq!(batches.len(), self.shards.len(), "one batch slot per shard");
-        let room = batches.iter().enumerate().all(|(shard, batch)| {
-            batch.is_empty() || self.shards[shard].data_room(max_depth, &self.cfg)
-        });
+        let room = batches
+            .iter()
+            .enumerate()
+            .all(|(shard, batch)| batch.is_empty() || self.shards[shard].sup.has_room(max_depth));
         if room {
             self.insert_sharded(batches);
         }
@@ -1665,7 +1403,7 @@ where
             let keys = std::mem::take(batch);
             applied += keys.len();
             shipped = true;
-            self.shards[shard].ship_annotated(keys, &self.cfg, Some((session_id, seq)));
+            self.shards[shard].ship_annotated(keys, Some((session_id, seq)));
         }
         // Every shard's in-memory mark advances — including shards that
         // received no keys this seq — so a later retry of the same seq is
@@ -1703,9 +1441,7 @@ where
         assert_eq!(batches.len(), self.shards.len(), "one batch slot per shard");
         let hwms = self.sessions.touch(session_id, batches.len());
         let room = batches.iter().enumerate().all(|(shard, batch)| {
-            batch.is_empty()
-                || hwms[shard] >= seq
-                || self.shards[shard].data_room(max_depth, &self.cfg)
+            batch.is_empty() || hwms[shard] >= seq || self.shards[shard].sup.has_room(max_depth)
         });
         if !room {
             return None;
@@ -1719,7 +1455,7 @@ where
     pub fn max_queue_depth(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.depth.load(Ordering::Relaxed))
+            .map(|s| s.sup.queue_len())
             .max()
             .unwrap_or(0)
     }
@@ -1746,7 +1482,7 @@ where
         for shard in 0..self.shards.len() {
             let partial = self.router.take(shard);
             if !partial.is_empty() {
-                self.shards[shard].ship(partial, &self.cfg);
+                self.shards[shard].ship(partial);
             }
         }
     }
@@ -1757,7 +1493,7 @@ where
     pub fn sync(&mut self) {
         self.flush_router();
         for shard in 0..self.shards.len() {
-            self.shards[shard].sync(&self.cfg);
+            self.shards[shard].sync();
         }
     }
 
@@ -1795,7 +1531,7 @@ where
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, s)| s.gauge(i, &self.cfg))
+                .map(|(i, s)| s.gauge(i))
                 .collect(),
             reactors: Vec::new(),
         }
@@ -1834,54 +1570,12 @@ where
         self.flush_router();
         let mut kernels = Vec::with_capacity(self.shards.len());
         for st in self.shards.iter_mut() {
-            st.flush_spill_sync(&self.cfg);
-            st.drain_checkpoints();
-            let kernel = if let Some(link) = st.link.take() {
-                drop(link.tx);
-                let deadline = Instant::now() + self.cfg.supervision.shutdown_timeout;
-                while !link.handle.is_finished() && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                let kernel = if link.handle.is_finished() {
-                    match link.handle.join() {
-                        Ok(kernel) => kernel,
-                        Err(payload) => {
-                            st.failures += 1;
-                            st.last_error =
-                                Some(PipelineError::WorkerPanicked(panic_message(payload)));
-                            // The dead worker left its queued batches
-                            // undrained; the gauge must not carry them
-                            // (the journal restore below covers them).
-                            st.depth = Arc::new(AtomicUsize::new(0));
-                            st.journal.restore()
-                        }
-                    }
-                } else {
-                    // Wedged past the deadline: abandon the thread and
-                    // reconstruct (it exits when it touches the dead
-                    // channel). Retire its writer generation first so its
-                    // final on-disconnect publish is dropped instead of
-                    // racing (or landing after) the republish below, and
-                    // detach the depth gauge — the abandoned worker keeps
-                    // decrementing its own Arc as it drains.
-                    st.failures += 1;
-                    st.last_error = Some(PipelineError::EstimateTimeout);
-                    st.writer_gen = st.snap.retire_writer();
-                    st.depth = Arc::new(AtomicUsize::new(0));
-                    st.journal.restore()
-                };
-                // The clean path already published on disconnect; republish
-                // here so the restore paths leave handles coherent too.
-                let mut items = Vec::new();
-                publish_filter(&kernel, &st.snap, &mut items, st.writer_gen);
-                publish_view(&kernel, &st.snap, st.writer_gen);
-                kernel
-            } else {
-                st.inline
-                    .take()
-                    .expect("degraded shard has an inline kernel")
-            };
-            kernels.push(kernel);
+            // A worker that panicked or stays wedged past the shutdown
+            // timeout is replaced by its journal reconstruction, republished
+            // under a retired writer generation so an abandoned worker's
+            // final publish cannot land after it.
+            st.harvest();
+            kernels.push(st.sup.finish());
         }
         // Quiesce the background threads BEFORE the final snapshots (see
         // the shutdown-ordering doc above). The scrubber goes first so a
@@ -1924,7 +1618,7 @@ where
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, s)| s.gauge(i, &self.cfg))
+                .map(|(i, s)| s.gauge(i))
                 .collect(),
             reactors: Vec::new(),
         };
@@ -2185,7 +1879,7 @@ where
             });
             (stop, handle)
         });
-        let snaps = Arc::new(shards.iter().map(|s| Arc::clone(&s.snap)).collect());
+        let snaps = Arc::new(shards.iter().map(|s| Arc::clone(s.snap())).collect());
         let router = KeyRouter::new(KeyPartition::new(cfg.shards), cfg.batch.max(1));
         // Seed the in-memory session table from what recovery found so a
         // client reconnecting after a crash+restart deduplicates exactly
@@ -2226,27 +1920,16 @@ where
         if let Some((stop, _handle)) = self.scrubber.take() {
             stop.store(true, Ordering::Release);
         }
-        let links: Vec<ShardLink<ASketch<F, S>>> = self
+        // Disconnect every worker first so all shards wind down in
+        // parallel under one deadline.
+        let handles: Vec<JoinHandle<ASketch<F, S>>> = self
             .shards
             .iter_mut()
-            .filter_map(|s| s.link.take())
-            .collect();
-        // Drop every sender first so all workers wind down in parallel.
-        let handles: Vec<JoinHandle<ASketch<F, S>>> = links
-            .into_iter()
-            .map(|l| {
-                drop(l.tx);
-                l.handle
-            })
+            .filter_map(|s| s.sup.disconnect())
             .collect();
         let deadline = Instant::now() + self.cfg.supervision.shutdown_timeout;
         for handle in handles {
-            while !handle.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
+            let _ = join_by(handle, deadline);
         }
     }
 }
@@ -2255,6 +1938,7 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyEstimator};
+    use crate::supervisor::BackpressurePolicy;
     use asketch::filter::VectorFilter;
     use sketches::CountMin;
 

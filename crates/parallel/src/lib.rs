@@ -23,10 +23,11 @@
 //!   background snapshots off the checkpoint path, and
 //!   recover-on-spawn with sequence-gated dedup (see `asketch-durable`).
 //!
-//! The supervision layer ([`supervisor`]) provides bounded backpressure
-//! with a configurable [`BackpressurePolicy`], checkpoint + journal state
-//! recovery on worker panic, bounded restarts with exponential backoff, a
-//! permanent inline degraded mode, and observable
+//! The supervision layer ([`supervisor`]) is one supervised worker link,
+//! driven by both pipelines and every concurrent shard. It provides bounded
+//! backpressure with a configurable [`BackpressurePolicy`], checkpoint +
+//! journal state recovery on worker panic, bounded restarts with
+//! exponential backoff, a permanent inline degraded mode, and observable
 //! [`PipelineStats`]/[`RuntimeHealth`] (per-shard gauges for the concurrent
 //! runtime surface through `eval_metrics::ShardedHealth`). The [`fault`]
 //! module ships a reusable fault-injection harness ([`FaultyEstimator`])
@@ -58,5 +59,5 @@ pub use spmd::{
     hash_shards, round_robin_shards, KeyPartition, KeyShards, ShardRecovery, SpmdGroup, SpmdReport,
 };
 pub use supervisor::{
-    BackpressurePolicy, PipelineError, PipelineStats, RuntimeHealth, SupervisionConfig,
+    BackpressurePolicy, PipelineError, PipelineStats, RuntimeHealth, SupervisionConfig, WorkerOp,
 };

@@ -19,13 +19,15 @@
 //!
 //! # Fault tolerance
 //!
-//! The forward channel is **bounded** ([`SupervisionConfig::queue_capacity`])
-//! so a slow worker exerts backpressure instead of growing an unbounded
-//! queue. On a full queue the caller either blocks
-//! ([`BackpressurePolicy::Block`]) or spills into a bounded caller-side
-//! FIFO that is flushed opportunistically
-//! ([`BackpressurePolicy::InlineFallback`]); either way no update is ever
-//! dropped.
+//! The worker runs on the supervised link of [`crate::supervisor`], shared
+//! with the H-UDAF pipeline and the sharded runtime. The forward channel is
+//! **bounded** ([`SupervisionConfig::queue_capacity`]) so a slow worker
+//! exerts backpressure instead of growing an unbounded queue. On a full
+//! queue the caller either blocks
+//! ([`BackpressurePolicy::Block`](crate::BackpressurePolicy::Block)) or
+//! spills into a bounded caller-side FIFO that is flushed opportunistically
+//! ([`BackpressurePolicy::InlineFallback`](crate::BackpressurePolicy::InlineFallback));
+//! either way no update is ever dropped.
 //!
 //! Every counting op shipped to the worker is recorded in a replay
 //! [`Journal`](crate::supervisor) keyed by sequence number; the worker
@@ -40,18 +42,16 @@
 //! the lost worker had not yet folded into a checkpoint: no loss, no double
 //! count.
 
-use std::collections::VecDeque;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::channel::{self, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError};
+use crate::channel::{Receiver, Sender};
 
 use asketch::filter::Filter;
 use sketches::traits::Supervisable;
 
 use crate::supervisor::{
-    panic_message, BackpressurePolicy, Journal, PipelineError, PipelineStats, RuntimeHealth,
-    SupervisionConfig,
+    CheckpointClock, FromWorker, PipelineError, PipelineStats, RuntimeHealth, Supervised,
+    SupervisionConfig, Worker,
 };
 
 /// Messages from the filter core to the sketch core.
@@ -68,9 +68,8 @@ enum ToSketch {
         seq: u64,
     },
     /// A batch of filter misses, each with the filter minimum observed when
-    /// it missed. All items share one journal sequence number (each pair is
-    /// journaled individually via `Journal::record_at`), exactly like the
-    /// holistic-UDAF pipeline's batch message.
+    /// it missed. All items share one journal sequence number, exactly
+    /// like the holistic-UDAF pipeline's batch message.
     ForwardBatch {
         items: Vec<(u64, i64, i64)>,
         seq: u64,
@@ -85,17 +84,13 @@ enum ToSketch {
     /// Answer a point query (channel round-trip keeps FIFO ordering with
     /// preceding forwards, so the estimate covers them).
     Estimate { key: u64, reply: Sender<i64> },
-    /// Stop and return the sketch.
-    Shutdown,
 }
 
-/// Messages from the sketch core back to the filter core.
-enum FromSketch<S> {
-    /// A promotion suggestion: `key`'s estimate exceeded the filter minimum.
-    Promote { key: u64, est: i64 },
-    /// A periodic snapshot of the sketch, tagged with the last applied
-    /// journal sequence. Prunes the caller's replay journal.
-    Checkpoint { seq: u64, snapshot: S },
+/// A promotion suggestion from the sketch core: `key`'s estimate exceeded
+/// the filter minimum it was forwarded with.
+struct Promote {
+    key: u64,
+    est: i64,
 }
 
 /// Small ring of recently suggested keys, so a hot run of one key (or a few)
@@ -136,27 +131,52 @@ impl RecentKeys {
     }
 }
 
-/// The channel endpoints and join handle of a live worker.
-struct WorkerLink<S> {
-    tx: Sender<ToSketch>,
-    rx: Receiver<FromSketch<S>>,
-    handle: JoinHandle<S>,
-}
-
 /// Counting ops between forced clears of the recently-suggested ring.
 const RECENT_TTL_OPS: u64 = 256;
 
+/// The sketch core: applies counting messages, suggests promotions,
+/// answers estimates.
+struct SketchWorker;
+
+impl<S: Supervisable> Worker<S> for SketchWorker {
+    type Msg = ToSketch;
+    type Note = Promote;
+
+    fn spawn(
+        &mut self,
+        sketch: S,
+        rx: Receiver<ToSketch>,
+        out: Sender<FromWorker<S, Promote>>,
+        cfg: &SupervisionConfig,
+    ) -> JoinHandle<S> {
+        let clock = CheckpointClock::new(cfg);
+        std::thread::spawn(move || run_worker(sketch, rx, out, clock))
+    }
+
+    fn ops(msg: &ToSketch, mut op: impl FnMut(u64, i64)) {
+        match *msg {
+            ToSketch::Forward { key, u, .. } => op(key, u),
+            ToSketch::ForwardBatch { ref items, .. } => {
+                for &(key, u, _) in items {
+                    op(key, u);
+                }
+            }
+            ToSketch::Demote { key, pending, .. } => op(key, pending),
+            ToSketch::Subtract { key, amount, .. } => op(key, -amount),
+            ToSketch::Promoted | ToSketch::Estimate { .. } => {}
+        }
+    }
+}
+
 /// The sketch-core loop: apply counting messages, suggest promotions,
-/// answer estimates, and ship checkpoints every `checkpoint_interval`
-/// counting ops.
+/// answer estimates, and checkpoint on the clock.
 fn run_worker<S: Supervisable>(
     mut sketch: S,
     rx: Receiver<ToSketch>,
-    out: Sender<FromSketch<S>>,
-    checkpoint_interval: u64,
+    out: Sender<FromWorker<S, Promote>>,
+    mut clock: CheckpointClock,
 ) -> S {
     let mut recent = RecentKeys::new();
-    let mut since_checkpoint = 0u64;
     let mut since_recent_clear = 0u64;
     while let Ok(msg) = rx.recv() {
         // Counting arms yield the sequence they applied plus how many
@@ -173,7 +193,7 @@ fn run_worker<S: Supervisable>(
                 if est > filter_min && !recent.contains(key) {
                     recent.push(key);
                     // Ignore send failures during teardown.
-                    let _ = out.send(FromSketch::Promote { key, est });
+                    let _ = out.send(FromWorker::Note(Promote { key, est }));
                 }
                 Some((seq, 1))
             }
@@ -188,7 +208,7 @@ fn run_worker<S: Supervisable>(
                     let est = sketch.update_and_estimate(key, u);
                     if est > filter_min && !recent.contains(key) {
                         recent.push(key);
-                        let _ = out.send(FromSketch::Promote { key, est });
+                        let _ = out.send(FromWorker::Note(Promote { key, est }));
                     }
                 }
                 Some((seq, ops))
@@ -209,17 +229,9 @@ fn run_worker<S: Supervisable>(
                 let _ = reply.send(sketch.estimate(key));
                 None
             }
-            ToSketch::Shutdown => break,
         };
         if let Some((seq, ops)) = applied_seq {
-            since_checkpoint += ops;
-            if since_checkpoint >= checkpoint_interval {
-                since_checkpoint = 0;
-                let _ = out.send(FromSketch::Checkpoint {
-                    seq,
-                    snapshot: sketch.clone(),
-                });
-            }
+            clock.tick(seq, ops, &sketch, &out);
             since_recent_clear += ops;
             if since_recent_clear >= RECENT_TTL_OPS {
                 since_recent_clear = 0;
@@ -230,21 +242,6 @@ fn run_worker<S: Supervisable>(
     sketch
 }
 
-fn spawn_worker<S: Supervisable>(sketch: S, cfg: &SupervisionConfig) -> WorkerLink<S> {
-    let (tx, rx) = channel::bounded::<ToSketch>(cfg.queue_capacity);
-    // Replies (promotions + checkpoints) are unbounded: the worker must
-    // never block on the caller, and the caller drains this channel on
-    // every touch.
-    let (out_tx, out_rx) = channel::unbounded::<FromSketch<S>>();
-    let interval = cfg.checkpoint_interval.max(1);
-    let handle = std::thread::spawn(move || run_worker(sketch, rx, out_tx, interval));
-    WorkerLink {
-        tx,
-        rx: out_rx,
-        handle,
-    }
-}
-
 /// Pipeline-parallel ASketch: filter on the caller thread, sketch on a
 /// supervised worker thread.
 ///
@@ -253,19 +250,8 @@ fn spawn_worker<S: Supervisable>(sketch: S, cfg: &SupervisionConfig) -> WorkerLi
 /// journal and keeps answering (see the module docs). Inspect
 /// [`stats`](Self::stats) / [`health`](Self::health) to observe faults.
 pub struct PipelineASketch<F: Filter, S: Supervisable> {
-    /// `Option` only so `finish`/`Drop` can move it out; always `Some`
-    /// while the pipeline is live.
-    filter: Option<F>,
-    /// The live worker; `None` once degraded to inline mode.
-    link: Option<WorkerLink<S>>,
-    /// The inline sketch used in degraded mode; `None` while a worker is up.
-    inline: Option<S>,
-    /// Caller-side FIFO spill used by [`BackpressurePolicy::InlineFallback`].
-    spill: VecDeque<ToSketch>,
-    journal: Journal<S>,
-    cfg: SupervisionConfig,
-    stats: PipelineStats,
-    last_error: Option<PipelineError>,
+    filter: F,
+    sup: Supervised<S, SketchWorker>,
 }
 
 impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
@@ -277,286 +263,49 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
 
     /// Spawn with explicit supervision parameters.
     pub fn spawn_with(filter: F, sketch: S, cfg: SupervisionConfig) -> Self {
-        let journal = Journal::new(sketch.clone());
-        let link = spawn_worker(sketch, &cfg);
         Self {
-            filter: Some(filter),
-            link: Some(link),
-            inline: None,
-            spill: VecDeque::new(),
-            journal,
-            cfg,
-            stats: PipelineStats::default(),
-            last_error: None,
+            filter,
+            sup: Supervised::spawn(sketch, cfg, SketchWorker),
         }
     }
 
-    #[inline]
-    fn filter_ref(&self) -> &F {
-        self.filter.as_ref().expect("filter present while live")
-    }
-
-    #[inline]
-    fn filter_mut(&mut self) -> &mut F {
-        self.filter.as_mut().expect("filter present while live")
-    }
-
-    /// Tear down the failed worker, reconstruct the sketch from checkpoint +
-    /// journal, and either respawn (restart budget permitting) or degrade to
-    /// inline mode. Idempotent once degraded.
-    fn fail_over(&mut self, err: Option<PipelineError>) {
-        let Some(link) = self.link.take() else { return };
-        self.stats.worker_failures += 1;
-
-        // Harvest any checkpoints already queued: they tighten the journal
-        // so the replay below is as short as possible.
-        while let Ok(msg) = link.rx.try_recv() {
-            if let FromSketch::Checkpoint { seq, snapshot } = msg {
-                self.stats.checkpoints += 1;
-                self.journal.on_checkpoint(seq, snapshot);
-            }
-        }
-        drop(link.tx);
-
-        // Give a just-panicked thread a beat to unwind so we can harvest
-        // the payload; a genuinely wedged thread is abandoned (it exits on
-        // its own when it next touches the disconnected channel).
-        let mut finished = link.handle.is_finished();
-        if !finished {
-            std::thread::sleep(Duration::from_millis(2));
-            finished = link.handle.is_finished();
-        }
-        let error = if finished {
-            match link.handle.join() {
-                Err(payload) => PipelineError::WorkerPanicked(panic_message(payload)),
-                Ok(_) => err.unwrap_or(PipelineError::Disconnected),
-            }
-        } else {
-            err.unwrap_or(PipelineError::EstimateTimeout)
-        };
-        self.last_error = Some(error);
-
-        // Spilled-but-unsent messages are already journaled; the restore
-        // below replays them, so the spill queue itself can go.
-        self.spill.clear();
-        let restored = self.journal.restore();
-
-        if self.stats.restarts < u64::from(self.cfg.max_restarts) {
-            self.stats.restarts += 1;
-            let backoff = self.cfg.backoff_for(self.stats.restarts);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            self.journal.reset(restored.clone());
-            self.link = Some(spawn_worker(restored, &self.cfg));
-            self.stats.degraded = false;
-        } else {
-            self.stats.degraded = true;
-            self.inline = Some(restored);
-        }
-    }
-
-    /// Flush as much of the spill queue as fits without blocking.
-    fn flush_spill_try(&mut self) {
-        while let Some(msg) = self.spill.pop_front() {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            match link.tx.try_send(msg) {
-                Ok(()) => {}
-                Err(TrySendError::Full(m)) => {
-                    self.spill.push_front(m);
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    // The message is journaled; fail_over's restore covers it.
-                    self.fail_over(None);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Flush the whole spill queue, waiting for channel space; a worker that
-    /// stays wedged past the timeout is failed over (the journal preserves
-    /// every spilled op, so nothing is lost either way).
-    fn flush_spill_sync(&mut self) {
-        while let Some(msg) = self.spill.pop_front() {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            match link.tx.send_timeout(msg, self.cfg.send_timeout) {
-                Ok(()) => {}
-                Err(SendTimeoutError::Timeout(_)) => {
-                    self.fail_over(Some(PipelineError::EstimateTimeout));
-                    return;
-                }
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    self.fail_over(None);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Append to the spill queue, degrading to a synchronous flush when the
-    /// spill itself is full — memory stays bounded and nothing is dropped.
-    fn push_spill(&mut self, msg: ToSketch) {
-        if self.spill.len() >= self.cfg.spill_capacity.max(1) {
-            // Generation check, not just `link.is_none()`: a fail-over during
-            // the flush folds the journaled `msg` into the restored sketch
-            // even when the worker is *restarted* (link `Some` again), so the
-            // in-flight `msg` must be abandoned or it would double-count.
-            let generation = self.stats.worker_failures;
-            self.flush_spill_sync();
-            if self.stats.worker_failures != generation || self.link.is_none() {
-                return;
-            }
-        }
-        self.stats.spilled += 1;
-        self.spill.push_back(msg);
-    }
-
-    /// Ship one counting op to the worker, honouring the backpressure policy
-    /// and journaling it first so no failure mode can lose it. In degraded
-    /// mode the op is applied inline instead.
+    /// Ship one counting op to the worker (the link journals it first, so
+    /// no failure mode can lose it). In degraded mode the op is applied
+    /// inline instead.
     fn ship_counting(&mut self, key: u64, delta: i64, build: impl FnOnce(u64) -> ToSketch) {
-        if self.link.is_none() {
-            self.stats.inline_updates += 1;
-            self.inline
-                .as_mut()
-                .expect("degraded mode has an inline sketch")
-                .update(key, delta);
+        if let Some((inline, _)) = self.sup.inline_mut() {
+            inline.update(key, delta);
+            self.sup.stats_mut().inline_updates += 1;
             return;
         }
-        let seq = self.journal.record(key, delta);
-        let msg = build(seq);
-        // FIFO discipline: anything spilled earlier goes first, so sequence
-        // order on the wire always matches journal order.
-        //
-        // `worker_failures` doubles as a fail-over generation counter: if the
-        // flush fails over, `msg` (already journaled) is folded into the
-        // restored sketch — whether the runtime then degraded (`link` now
-        // `None`) or *restarted* (`link` `Some` again, journal re-baselined
-        // past `seq`). Either way `msg` must be abandoned here, or the new
-        // worker would apply it a second time.
-        let generation = self.stats.worker_failures;
-        self.flush_spill_try();
-        if self.stats.worker_failures != generation || self.link.is_none() {
-            return; // failed over during the flush; the restore covers `msg`
-        }
-        if !self.spill.is_empty() {
-            self.push_spill(msg);
-            return;
-        }
-        let sent = self
-            .link
-            .as_ref()
-            .expect("worker link checked above")
-            .tx
-            .try_send(msg);
-        match sent {
-            Ok(()) => {}
-            Err(TrySendError::Full(m)) => {
-                self.stats.queue_full_events += 1;
-                match self.cfg.backpressure {
-                    BackpressurePolicy::Block => self.send_sync(m),
-                    BackpressurePolicy::InlineFallback => self.push_spill(m),
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => self.fail_over(None),
-        }
+        let seq = self.sup.next_seq();
+        self.sup.ship(seq, build(seq));
     }
 
-    /// Ship a batch of filter misses as one message, journaling every item
-    /// under a shared sequence number first (mirrors the holistic-UDAF
-    /// pipeline's batch shipping). In degraded mode each item runs through
-    /// the sequential overflow path inline instead.
+    /// Ship a batch of filter misses as one message under one sequence
+    /// number (mirrors the holistic-UDAF pipeline's batch shipping). In
+    /// degraded mode each item runs through the sequential overflow path
+    /// inline instead.
     fn ship_forward_batch(&mut self, items: Vec<(u64, i64, i64)>) {
         if items.is_empty() {
             return;
         }
-        if self.link.is_none() {
+        if !self.sup.is_live() {
             for (key, u, _) in items {
                 self.degraded_overflow(key, u);
             }
             return;
         }
-        self.stats.forwarded += items.len() as u64;
-        let seq = self.journal.next_seq();
-        for &(key, u, _) in &items {
-            self.journal.record_at(seq, key, u);
-        }
-        let msg = ToSketch::ForwardBatch { items, seq };
-        // Same generation discipline as `ship_counting`: a fail-over during
-        // the flush folds the journaled batch into the restored sketch, so
-        // the in-flight `msg` must be abandoned whether the runtime degraded
-        // or restarted.
-        let generation = self.stats.worker_failures;
-        self.flush_spill_try();
-        if self.stats.worker_failures != generation || self.link.is_none() {
-            return;
-        }
-        if !self.spill.is_empty() {
-            self.push_spill(msg);
-            return;
-        }
-        let sent = self
-            .link
-            .as_ref()
-            .expect("worker link checked above")
-            .tx
-            .try_send(msg);
-        match sent {
-            Ok(()) => {}
-            Err(TrySendError::Full(m)) => {
-                self.stats.queue_full_events += 1;
-                match self.cfg.backpressure {
-                    BackpressurePolicy::Block => self.send_sync(m),
-                    BackpressurePolicy::InlineFallback => self.push_spill(m),
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => self.fail_over(None),
-        }
-    }
-
-    /// Blocking send with a wedge bound: waits for queue space up to the
-    /// send timeout, then declares the worker wedged and fails over.
-    fn send_sync(&mut self, msg: ToSketch) {
-        let Some(link) = self.link.as_ref() else {
-            return;
-        };
-        match link.tx.send_timeout(msg, self.cfg.send_timeout) {
-            Ok(()) => {}
-            Err(SendTimeoutError::Timeout(_)) => {
-                self.fail_over(Some(PipelineError::EstimateTimeout));
-            }
-            Err(SendTimeoutError::Disconnected(_)) => self.fail_over(None),
-        }
+        self.sup.stats_mut().forwarded += items.len() as u64;
+        let seq = self.sup.next_seq();
+        self.sup.ship(seq, ToSketch::ForwardBatch { items, seq });
     }
 
     /// Drain everything the worker has sent back: checkpoints prune the
     /// journal, promotion suggestions are applied against current filter
     /// state.
     fn drain_worker_msgs(&mut self) {
-        let mut promotes: Vec<(u64, i64)> = Vec::new();
-        let mut checkpoints: Vec<(u64, S)> = Vec::new();
-        {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            while let Ok(msg) = link.rx.try_recv() {
-                match msg {
-                    FromSketch::Promote { key, est } => promotes.push((key, est)),
-                    FromSketch::Checkpoint { seq, snapshot } => checkpoints.push((seq, snapshot)),
-                }
-            }
-        }
-        for (seq, snapshot) in checkpoints {
-            self.stats.checkpoints += 1;
-            self.journal.on_checkpoint(seq, snapshot);
-        }
-        for (key, est) in promotes {
+        for Promote { key, est } in self.sup.harvest(|_, _| {}) {
             self.apply_promotion(key, est);
         }
     }
@@ -564,10 +313,10 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
     /// Re-check a promotion suggestion against the *current* filter state
     /// and apply it if it still holds.
     fn apply_promotion(&mut self, key: u64, suggested_est: i64) {
-        if self.filter_ref().query(key).is_some() {
+        if self.filter.query(key).is_some() {
             return;
         }
-        let Some(min) = self.filter_ref().min_count() else {
+        let Some(min) = self.filter.min_count() else {
             return;
         };
         if suggested_est <= min {
@@ -583,7 +332,7 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
             return;
         }
         let evicted = self
-            .filter_mut()
+            .filter
             .evict_min()
             .expect("filter non-empty: min_count succeeded");
         if evicted.pending() > 0 {
@@ -594,78 +343,18 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
                 seq,
             });
         }
-        self.filter_mut().insert(key, fresh, fresh);
-        self.stats.exchanges += 1;
+        self.filter.insert(key, fresh, fresh);
+        self.sup.stats_mut().exchanges += 1;
         // Best-effort: let the worker clear its recently-suggested ring.
-        if self.spill.is_empty() {
-            if let Some(link) = self.link.as_ref() {
-                let _ = link.tx.try_send(ToSketch::Promoted);
-            }
-        }
+        self.sup.offer(ToSketch::Promoted);
     }
 
-    /// Estimate for a key not monitored by the filter: round-trip to the
-    /// worker with timeout + retry, failing over (and answering inline) if
-    /// the worker never responds. In degraded mode, answers from the inline
-    /// sketch directly.
+    /// Estimate for a key not monitored by the filter: a worker round trip
+    /// with timeout + retry (failing over if the worker never responds),
+    /// or the inline sketch when degraded.
     fn backend_estimate(&mut self, key: u64) -> i64 {
-        loop {
-            if self.link.is_none() {
-                return self
-                    .inline
-                    .as_ref()
-                    .expect("degraded mode has an inline sketch")
-                    .estimate(key);
-            }
-            // All queued counting ops must precede the estimate so the
-            // answer covers them.
-            self.flush_spill_sync();
-            if self.link.is_none() {
-                continue;
-            }
-            let mut failure: Option<Option<PipelineError>> = None;
-            let mut timeouts = 0u32;
-            loop {
-                let link = self.link.as_ref().expect("worker link checked above");
-                let (reply_tx, reply_rx) = channel::bounded(1);
-                let sent = link.tx.send_timeout(
-                    ToSketch::Estimate {
-                        key,
-                        reply: reply_tx,
-                    },
-                    self.cfg.estimate_timeout,
-                );
-                match sent {
-                    Ok(()) => match reply_rx.recv_timeout(self.cfg.estimate_timeout) {
-                        Ok(v) => return v,
-                        Err(RecvTimeoutError::Timeout) => {
-                            self.stats.estimate_timeouts += 1;
-                            timeouts += 1;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            failure = Some(None);
-                        }
-                    },
-                    Err(SendTimeoutError::Timeout(_)) => {
-                        self.stats.estimate_timeouts += 1;
-                        timeouts += 1;
-                    }
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        failure = Some(None);
-                    }
-                }
-                if let Some(err) = failure {
-                    self.fail_over(err);
-                    break;
-                }
-                if timeouts > self.cfg.estimate_retries {
-                    self.fail_over(Some(PipelineError::EstimateTimeout));
-                    break;
-                }
-            }
-            // Failed over: either a fresh worker is up (retry the round
-            // trip against it) or we are degraded (answered at loop top).
-        }
+        self.sup
+            .estimate(key, |reply| ToSketch::Estimate { key, reply })
     }
 
     /// Process one tuple (Algorithm 1 with the sketch path asynchronous).
@@ -679,25 +368,20 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
             }
             return;
         }
-        if !self.spill.is_empty() {
-            self.flush_spill_try();
-        }
-        if self.filter_mut().update_existing(key, u).is_some() {
+        self.sup.flush_spill_try();
+        if self.filter.update_existing(key, u).is_some() {
             return;
         }
-        if !self.filter_ref().is_full() {
-            self.filter_mut().insert(key, u, 0);
+        if !self.filter.is_full() {
+            self.filter.insert(key, u, 0);
             return;
         }
-        if self.link.is_none() {
+        if !self.sup.is_live() {
             self.degraded_overflow(key, u);
             return;
         }
-        let filter_min = self
-            .filter_ref()
-            .min_count()
-            .expect("full filter non-empty");
-        self.stats.forwarded += 1;
+        let filter_min = self.filter.min_count().expect("full filter non-empty");
+        self.sup.stats_mut().forwarded += 1;
         self.ship_counting(key, u, |seq| ToSketch::Forward {
             key,
             u,
@@ -736,23 +420,20 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
                 }
                 continue;
             }
-            if self.filter_mut().update_existing(key, u).is_some() {
+            if self.filter.update_existing(key, u).is_some() {
                 continue;
             }
-            if !self.filter_ref().is_full() {
-                self.filter_mut().insert(key, u, 0);
+            if !self.filter.is_full() {
+                self.filter.insert(key, u, 0);
                 continue;
             }
-            if self.link.is_none() {
+            if !self.sup.is_live() {
                 let batch = std::mem::take(&mut misses);
                 self.ship_forward_batch(batch);
                 self.degraded_overflow(key, u);
                 continue;
             }
-            let filter_min = self
-                .filter_ref()
-                .min_count()
-                .expect("full filter non-empty");
+            let filter_min = self.filter.min_count().expect("full filter non-empty");
             misses.push((key, u, filter_min));
             if misses.len() >= FLUSH_AT {
                 let batch = std::mem::take(&mut misses);
@@ -766,22 +447,23 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
     /// Degraded-mode overflow path: the full sequential exchange check
     /// (Algorithm 1) runs inline on the caller.
     fn degraded_overflow(&mut self, key: u64, u: i64) {
-        self.stats.inline_updates += 1;
-        let inline = self
-            .inline
-            .as_mut()
+        let (inline, _) = self
+            .sup
+            .inline_mut()
             .expect("degraded mode has an inline sketch");
         let est = inline.update_and_estimate(key, u);
-        let filter = self.filter.as_mut().expect("filter present while live");
-        let min = filter.min_count().expect("full filter non-empty");
-        if est > min {
-            let evicted = filter.evict_min().expect("filter non-empty");
+        let min = self.filter.min_count().expect("full filter non-empty");
+        let exchanged = est > min;
+        if exchanged {
+            let evicted = self.filter.evict_min().expect("filter non-empty");
             if evicted.pending() > 0 {
                 inline.update(evicted.key, evicted.pending());
             }
-            filter.insert(key, est, est);
-            self.stats.exchanges += 1;
+            self.filter.insert(key, est, est);
         }
+        let stats = self.sup.stats_mut();
+        stats.inline_updates += 1;
+        stats.exchanges += u64::from(exchanged);
     }
 
     /// Convenience: `update(key, 1)`.
@@ -798,7 +480,7 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
         if amount <= 0 {
             return;
         }
-        match self.filter_mut().subtract(key, amount) {
+        match self.filter.subtract(key, amount) {
             None => self.ship_counting(key, -amount, |seq| ToSketch::Subtract { key, amount, seq }),
             Some(0) => {}
             Some(remainder) => self.ship_counting(key, -remainder, |seq| ToSketch::Subtract {
@@ -818,7 +500,7 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
     /// timeout + retry, or the inline sketch when degraded).
     pub fn estimate(&mut self, key: u64) -> i64 {
         self.drain_worker_msgs();
-        if let Some(c) = self.filter_ref().query(key) {
+        if let Some(c) = self.filter.query(key) {
             return c;
         }
         self.backend_estimate(key)
@@ -826,86 +508,39 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
 
     /// Number of promotions applied so far.
     pub fn exchanges(&self) -> u64 {
-        self.stats.exchanges
+        self.sup.stats().exchanges
     }
 
     /// Number of tuples forwarded to the sketch core.
     pub fn forwarded(&self) -> u64 {
-        self.stats.forwarded
+        self.sup.stats().forwarded
     }
 
     /// Runtime counters (forwards, exchanges, queue-full events, spills,
     /// failures, restarts, checkpoints, degraded flag).
     pub fn stats(&self) -> PipelineStats {
-        self.stats
+        self.sup.stats()
     }
 
     /// Condensed health view: degraded flag, restart/failure counts, and
     /// the most recent error rendered as a string.
     pub fn health(&self) -> RuntimeHealth {
-        RuntimeHealth {
-            degraded: self.stats.degraded,
-            restarts: self.stats.restarts,
-            worker_failures: self.stats.worker_failures,
-            last_error: self.last_error.as_ref().map(|e| e.to_string()),
-        }
+        self.sup.health()
     }
 
     /// The most recent worker fault, if any.
     pub fn last_error(&self) -> Option<&PipelineError> {
-        self.last_error.as_ref()
+        self.sup.last_error()
     }
 
     /// `true` once the restart budget is spent and updates run inline.
     pub fn is_degraded(&self) -> bool {
-        self.stats.degraded
+        self.sup.stats().degraded
     }
 
     /// The supervision parameters this pipeline runs with.
     pub fn config(&self) -> &SupervisionConfig {
-        &self.cfg
-    }
-
-    /// Recover the sketch from whatever state the worker is in: clean join
-    /// when healthy, journal reconstruction when panicked or wedged. Bounded
-    /// by [`SupervisionConfig::shutdown_timeout`] — never hangs.
-    fn recover_sketch(&mut self) -> S {
-        self.drain_worker_msgs();
-        if self.link.is_some() {
-            self.flush_spill_sync();
-        }
-        let Some(link) = self.link.take() else {
-            return match self.inline.take() {
-                Some(s) => s,
-                None => self.journal.restore(),
-            };
-        };
-        let _ = link
-            .tx
-            .send_timeout(ToSketch::Shutdown, self.cfg.send_timeout);
-        drop(link.tx);
-        let deadline = std::time::Instant::now() + self.cfg.shutdown_timeout;
-        while !link.handle.is_finished() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if link.handle.is_finished() {
-            match link.handle.join() {
-                Ok(sketch) => sketch,
-                Err(payload) => {
-                    self.stats.worker_failures += 1;
-                    self.stats.degraded = true;
-                    self.last_error = Some(PipelineError::WorkerPanicked(panic_message(payload)));
-                    self.journal.restore()
-                }
-            }
-        } else {
-            // Wedged past the deadline: abandon the thread (it exits when it
-            // next touches the disconnected channel) and reconstruct.
-            self.stats.worker_failures += 1;
-            self.stats.degraded = true;
-            self.last_error = Some(PipelineError::EstimateTimeout);
-            self.journal.restore()
-        }
+        self.sup.config()
     }
 
     /// Shut the worker down and return `(filter, sketch)`.
@@ -914,28 +549,9 @@ impl<F: Filter, S: Supervisable> PipelineASketch<F, S> {
     /// replaced by the journal reconstruction (check
     /// [`health`](Self::health) before calling if you need to know which).
     pub fn finish(mut self) -> (F, S) {
-        let sketch = self.recover_sketch();
-        let filter = self.filter.take().expect("filter present until finish");
-        (filter, sketch)
-    }
-}
-
-impl<F: Filter, S: Supervisable> Drop for PipelineASketch<F, S> {
-    /// Best-effort teardown for pipelines dropped without
-    /// [`finish`](Self::finish): ask the worker to stop, wait a bounded
-    /// time, and abandon it if wedged. Never hangs, never panics.
-    fn drop(&mut self) {
-        if let Some(link) = self.link.take() {
-            let _ = link.tx.try_send(ToSketch::Shutdown);
-            drop(link.tx);
-            let deadline = std::time::Instant::now() + self.cfg.shutdown_timeout;
-            while !link.handle.is_finished() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if link.handle.is_finished() {
-                let _ = link.handle.join();
-            }
-        }
+        self.drain_worker_msgs();
+        let sketch = self.sup.finish();
+        (self.filter, sketch)
     }
 }
 
@@ -943,8 +559,10 @@ impl<F: Filter, S: Supervisable> Drop for PipelineASketch<F, S> {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyEstimator};
+    use crate::supervisor::BackpressurePolicy;
     use asketch::filter::RelaxedHeapFilter;
     use sketches::{CountMin, FrequencyEstimator};
+    use std::time::Duration;
 
     fn pipeline(cap: usize) -> PipelineASketch<RelaxedHeapFilter, CountMin> {
         PipelineASketch::spawn(

@@ -4,27 +4,27 @@
 //! message, so the table core "can immediately start processing next items
 //! from the input stream" while the sketch absorbs the batch.
 //!
-//! The worker runs under the same supervision regime as
-//! [`PipelineASketch`](crate::PipelineASketch): a bounded batch channel with
-//! a configurable [`BackpressurePolicy`], a caller-side replay journal
-//! pruned by worker checkpoints, bounded restarts with backoff on worker
-//! panic, and a permanent inline degraded mode once the restart budget is
-//! spent. Every batch is journaled before it is shipped, so no failure mode
-//! can lose or double-count a flush.
+//! The worker runs on the same supervised link as
+//! [`PipelineASketch`](crate::PipelineASketch) ([`crate::supervisor`]): a
+//! bounded batch channel with a configurable
+//! [`BackpressurePolicy`](crate::BackpressurePolicy), a caller-side replay
+//! journal pruned by worker checkpoints, bounded restarts with backoff on
+//! worker panic, and a permanent inline degraded mode once the restart
+//! budget is spent. Every batch is journaled before it is shipped, so no
+//! failure mode can lose or double-count a flush.
 
-use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::channel::{self, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError};
+use crate::channel::{Receiver, Sender};
 
 use sketches::lookup;
 use sketches::traits::Supervisable;
 use sketches::CountMin;
 
 use crate::supervisor::{
-    panic_message, BackpressurePolicy, Journal, PipelineError, PipelineStats, RuntimeHealth,
-    SupervisionConfig,
+    CheckpointClock, FromWorker, PipelineStats, RuntimeHealth, Supervised, SupervisionConfig,
+    Worker,
 };
 
 /// Messages to the sketch worker.
@@ -34,14 +34,6 @@ enum Msg {
     Batch { batch: Vec<(u64, i64)>, seq: u64 },
     /// Point-query round trip.
     Estimate { key: u64, reply: Sender<i64> },
-    /// Stop and return the sketch.
-    Shutdown,
-}
-
-/// Worker-to-caller traffic: journal-pruning checkpoints.
-struct Checkpoint<S> {
-    seq: u64,
-    snapshot: S,
 }
 
 const EMPTY_KEY: u64 = u64::MAX;
@@ -55,54 +47,54 @@ fn canon(key: u64) -> u64 {
     }
 }
 
-struct WorkerLink<S> {
-    tx: Sender<Msg>,
-    rx: Receiver<Checkpoint<S>>,
-    handle: JoinHandle<S>,
+/// The sketch worker: applies flushed batches and answers estimates.
+struct BatchWorker;
+
+impl<S: Supervisable> Worker<S> for BatchWorker {
+    type Msg = Msg;
+    type Note = Infallible;
+
+    fn spawn(
+        &mut self,
+        sketch: S,
+        rx: Receiver<Msg>,
+        out: Sender<FromWorker<S, Infallible>>,
+        cfg: &SupervisionConfig,
+    ) -> JoinHandle<S> {
+        let clock = CheckpointClock::new(cfg);
+        std::thread::spawn(move || run_worker(sketch, rx, out, clock))
+    }
+
+    fn ops(msg: &Msg, mut op: impl FnMut(u64, i64)) {
+        if let Msg::Batch { batch, .. } = msg {
+            for &(key, count) in batch {
+                op(key, count);
+            }
+        }
+    }
 }
 
 fn run_worker<S: Supervisable>(
     mut sketch: S,
     rx: Receiver<Msg>,
-    out: Sender<Checkpoint<S>>,
-    checkpoint_interval: u64,
+    out: Sender<FromWorker<S, Infallible>>,
+    mut clock: CheckpointClock,
 ) -> S {
-    let mut since_checkpoint = 0u64;
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Batch { batch, seq } => {
-                since_checkpoint += batch.len() as u64;
                 // Batched kernel: tuned backends hoist hashing and prefetch
                 // across the batch instead of taking one cache-miss chain
                 // per item.
                 sketch.update_batch(&batch);
-                if since_checkpoint >= checkpoint_interval {
-                    since_checkpoint = 0;
-                    let _ = out.send(Checkpoint {
-                        seq,
-                        snapshot: sketch.clone(),
-                    });
-                }
+                clock.tick(seq, batch.len() as u64, &sketch, &out);
             }
             Msg::Estimate { key, reply } => {
                 let _ = reply.send(sketch.estimate(key));
             }
-            Msg::Shutdown => break,
         }
     }
     sketch
-}
-
-fn spawn_worker<S: Supervisable>(sketch: S, cfg: &SupervisionConfig) -> WorkerLink<S> {
-    let (tx, rx) = channel::bounded::<Msg>(cfg.queue_capacity);
-    let (out_tx, out_rx) = channel::unbounded::<Checkpoint<S>>();
-    let interval = cfg.checkpoint_interval.max(1);
-    let handle = std::thread::spawn(move || run_worker(sketch, rx, out_tx, interval));
-    WorkerLink {
-        tx,
-        rx: out_rx,
-        handle,
-    }
 }
 
 /// Holistic UDAF with the sketch on a supervised worker thread.
@@ -113,13 +105,7 @@ pub struct PipelineHUdaf<S: Supervisable = CountMin> {
     ids: Vec<u64>,
     counts: Vec<i64>,
     fill: usize,
-    link: Option<WorkerLink<S>>,
-    inline: Option<S>,
-    spill: VecDeque<Msg>,
-    journal: Journal<S>,
-    cfg: SupervisionConfig,
-    stats: PipelineStats,
-    last_error: Option<PipelineError>,
+    sup: Supervised<S, BatchWorker>,
     flushes: u64,
 }
 
@@ -139,193 +125,26 @@ impl<S: Supervisable> PipelineHUdaf<S> {
     /// Panics if `table_items == 0`.
     pub fn spawn_with(sketch: S, table_items: usize, cfg: SupervisionConfig) -> Self {
         assert!(table_items > 0, "table must hold at least one item");
-        let journal = Journal::new(sketch.clone());
-        let link = spawn_worker(sketch, &cfg);
         Self {
             ids: vec![EMPTY_KEY; table_items],
             counts: vec![0; table_items],
             fill: 0,
-            link: Some(link),
-            inline: None,
-            spill: VecDeque::new(),
-            journal,
-            cfg,
-            stats: PipelineStats::default(),
-            last_error: None,
+            sup: Supervised::spawn(sketch, cfg, BatchWorker),
             flushes: 0,
         }
     }
 
-    /// Same teardown/restore/restart logic as the ASketch pipeline (see
-    /// [`crate::pipeline`] module docs for the fault model).
-    fn fail_over(&mut self, err: Option<PipelineError>) {
-        let Some(link) = self.link.take() else { return };
-        self.stats.worker_failures += 1;
-        while let Ok(Checkpoint { seq, snapshot }) = link.rx.try_recv() {
-            self.stats.checkpoints += 1;
-            self.journal.on_checkpoint(seq, snapshot);
-        }
-        drop(link.tx);
-        let mut finished = link.handle.is_finished();
-        if !finished {
-            std::thread::sleep(Duration::from_millis(2));
-            finished = link.handle.is_finished();
-        }
-        let error = if finished {
-            match link.handle.join() {
-                Err(payload) => PipelineError::WorkerPanicked(panic_message(payload)),
-                Ok(_) => err.unwrap_or(PipelineError::Disconnected),
-            }
-        } else {
-            err.unwrap_or(PipelineError::EstimateTimeout)
-        };
-        self.last_error = Some(error);
-        self.spill.clear();
-        let restored = self.journal.restore();
-        if self.stats.restarts < u64::from(self.cfg.max_restarts) {
-            self.stats.restarts += 1;
-            let backoff = self.cfg.backoff_for(self.stats.restarts);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            self.journal.reset(restored.clone());
-            self.link = Some(spawn_worker(restored, &self.cfg));
-            self.stats.degraded = false;
-        } else {
-            self.stats.degraded = true;
-            self.inline = Some(restored);
-        }
-    }
-
-    fn flush_spill_try(&mut self) {
-        while let Some(msg) = self.spill.pop_front() {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            match link.tx.try_send(msg) {
-                Ok(()) => {}
-                Err(TrySendError::Full(m)) => {
-                    self.spill.push_front(m);
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.fail_over(None);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn flush_spill_sync(&mut self) {
-        while let Some(msg) = self.spill.pop_front() {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            match link.tx.send_timeout(msg, self.cfg.send_timeout) {
-                Ok(()) => {}
-                Err(SendTimeoutError::Timeout(_)) => {
-                    self.fail_over(Some(PipelineError::EstimateTimeout));
-                    return;
-                }
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    self.fail_over(None);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn push_spill(&mut self, msg: Msg) {
-        if self.spill.len() >= self.cfg.spill_capacity.max(1) {
-            // Generation check, not just `link.is_none()`: a fail-over during
-            // the flush folds the journaled `msg` into the restored sketch
-            // even when the worker is *restarted* (link `Some` again), so the
-            // in-flight `msg` must be abandoned or it would double-count.
-            let generation = self.stats.worker_failures;
-            self.flush_spill_sync();
-            if self.stats.worker_failures != generation || self.link.is_none() {
-                return;
-            }
-        }
-        self.stats.spilled += 1;
-        self.spill.push_back(msg);
-    }
-
-    fn drain_checkpoints(&mut self) {
-        let mut harvested: Vec<(u64, S)> = Vec::new();
-        {
-            let Some(link) = self.link.as_ref() else {
-                return;
-            };
-            while let Ok(Checkpoint { seq, snapshot }) = link.rx.try_recv() {
-                harvested.push((seq, snapshot));
-            }
-        }
-        for (seq, snapshot) in harvested {
-            self.stats.checkpoints += 1;
-            self.journal.on_checkpoint(seq, snapshot);
-        }
-    }
-
-    /// Ship one flushed batch, journaling every item under a shared
-    /// sequence number first. In degraded mode the batch is applied inline.
+    /// Ship one flushed batch (journaled first by the link). In degraded
+    /// mode the batch is applied inline.
     fn ship_batch(&mut self, batch: Vec<(u64, i64)>) {
-        if self.link.is_none() {
-            self.stats.inline_updates += batch.len() as u64;
-            let inline = self
-                .inline
-                .as_mut()
-                .expect("degraded mode has an inline sketch");
+        if let Some((inline, _)) = self.sup.inline_mut() {
             inline.update_batch(&batch);
+            self.sup.stats_mut().inline_updates += batch.len() as u64;
             return;
         }
-        let seq = self.journal.next_seq();
-        for &(key, count) in &batch {
-            self.journal.record_at(seq, key, count);
-        }
-        let msg = Msg::Batch { batch, seq };
-        // `worker_failures` doubles as a fail-over generation counter: if the
-        // flush fails over, the journaled batch is folded into the restored
-        // sketch whether the runtime degraded (`link` now `None`) or
-        // restarted (`link` `Some` again, journal re-baselined past `seq`),
-        // so the in-flight `msg` must be abandoned either way.
-        let generation = self.stats.worker_failures;
-        self.flush_spill_try();
-        if self.stats.worker_failures != generation || self.link.is_none() {
-            return;
-        }
-        if !self.spill.is_empty() {
-            self.push_spill(msg);
-            return;
-        }
-        let sent = self
-            .link
-            .as_ref()
-            .expect("worker link checked above")
-            .tx
-            .try_send(msg);
-        match sent {
-            Ok(()) => {}
-            Err(TrySendError::Full(m)) => {
-                self.stats.queue_full_events += 1;
-                match self.cfg.backpressure {
-                    BackpressurePolicy::Block => {
-                        let Some(link) = self.link.as_ref() else {
-                            return;
-                        };
-                        match link.tx.send_timeout(m, self.cfg.send_timeout) {
-                            Ok(()) => {}
-                            Err(SendTimeoutError::Timeout(_)) => {
-                                self.fail_over(Some(PipelineError::EstimateTimeout));
-                            }
-                            Err(SendTimeoutError::Disconnected(_)) => self.fail_over(None),
-                        }
-                    }
-                    BackpressurePolicy::InlineFallback => self.push_spill(m),
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => self.fail_over(None),
-        }
+        self.sup.stats_mut().forwarded += 1;
+        let seq = self.sup.next_seq();
+        self.sup.ship(seq, Msg::Batch { batch, seq });
     }
 
     /// Ship the whole table to the sketch core and clear it.
@@ -343,7 +162,7 @@ impl<S: Supervisable> PipelineHUdaf<S> {
         self.fill = 0;
         self.flushes += 1;
         self.ship_batch(batch);
-        self.drain_checkpoints();
+        self.sup.harvest(|_, _| {});
     }
 
     /// Ingest one tuple.
@@ -368,67 +187,15 @@ impl<S: Supervisable> PipelineHUdaf<S> {
         self.update(key, 1);
     }
 
-    /// Backend estimate with timeout + retry; fails over to the restored
-    /// inline sketch when the worker never answers.
-    fn backend_estimate(&mut self, key: u64) -> i64 {
-        loop {
-            if self.link.is_none() {
-                return self
-                    .inline
-                    .as_ref()
-                    .expect("degraded mode has an inline sketch")
-                    .estimate(key);
-            }
-            self.flush_spill_sync();
-            if self.link.is_none() {
-                continue;
-            }
-            let mut failure: Option<Option<PipelineError>> = None;
-            let mut timeouts = 0u32;
-            loop {
-                let link = self.link.as_ref().expect("worker link checked above");
-                let (reply_tx, reply_rx) = channel::bounded(1);
-                let sent = link.tx.send_timeout(
-                    Msg::Estimate {
-                        key,
-                        reply: reply_tx,
-                    },
-                    self.cfg.estimate_timeout,
-                );
-                match sent {
-                    Ok(()) => match reply_rx.recv_timeout(self.cfg.estimate_timeout) {
-                        Ok(v) => return v,
-                        Err(RecvTimeoutError::Timeout) => {
-                            self.stats.estimate_timeouts += 1;
-                            timeouts += 1;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => failure = Some(None),
-                    },
-                    Err(SendTimeoutError::Timeout(_)) => {
-                        self.stats.estimate_timeouts += 1;
-                        timeouts += 1;
-                    }
-                    Err(SendTimeoutError::Disconnected(_)) => failure = Some(None),
-                }
-                if let Some(err) = failure {
-                    self.fail_over(err);
-                    break;
-                }
-                if timeouts > self.cfg.estimate_retries {
-                    self.fail_over(Some(PipelineError::EstimateTimeout));
-                    break;
-                }
-            }
-        }
-    }
-
     /// Point query: sketch estimate (round trip, FIFO-ordered behind all
     /// shipped batches) plus any count still pending in the local table.
+    /// A worker that never answers is failed over and the restored sketch
+    /// answers.
     pub fn estimate(&mut self, key: u64) -> i64 {
         let key = canon(key);
-        self.drain_checkpoints();
+        self.sup.harvest(|_, _| {});
         let pending = lookup::find_key(&self.ids[..self.fill], key).map_or(0, |i| self.counts[i]);
-        self.backend_estimate(key) + pending
+        self.sup.estimate(key, |reply| Msg::Estimate { key, reply }) + pending
     }
 
     /// Wholesale flushes performed so far.
@@ -436,88 +203,27 @@ impl<S: Supervisable> PipelineHUdaf<S> {
         self.flushes
     }
 
-    /// Runtime counters (queue-full events, spills, failures, restarts,
-    /// checkpoints, degraded flag).
+    /// Runtime counters (batches shipped, queue-full events, spills,
+    /// failures, restarts, checkpoints, degraded flag).
     pub fn stats(&self) -> PipelineStats {
-        self.stats
+        self.sup.stats()
     }
 
     /// Condensed health view.
     pub fn health(&self) -> RuntimeHealth {
-        RuntimeHealth {
-            degraded: self.stats.degraded,
-            restarts: self.stats.restarts,
-            worker_failures: self.stats.worker_failures,
-            last_error: self.last_error.as_ref().map(|e| e.to_string()),
-        }
+        self.sup.health()
     }
 
     /// `true` once the restart budget is spent and batches apply inline.
     pub fn is_degraded(&self) -> bool {
-        self.stats.degraded
-    }
-
-    /// Recover the sketch: clean join when healthy, journal reconstruction
-    /// when panicked or wedged; bounded by
-    /// [`SupervisionConfig::shutdown_timeout`].
-    fn recover_sketch(&mut self) -> S {
-        self.drain_checkpoints();
-        if self.link.is_some() {
-            self.flush_spill_sync();
-        }
-        let Some(link) = self.link.take() else {
-            return match self.inline.take() {
-                Some(s) => s,
-                None => self.journal.restore(),
-            };
-        };
-        let _ = link.tx.send_timeout(Msg::Shutdown, self.cfg.send_timeout);
-        drop(link.tx);
-        let deadline = std::time::Instant::now() + self.cfg.shutdown_timeout;
-        while !link.handle.is_finished() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if link.handle.is_finished() {
-            match link.handle.join() {
-                Ok(sketch) => sketch,
-                Err(payload) => {
-                    self.stats.worker_failures += 1;
-                    self.stats.degraded = true;
-                    self.last_error = Some(PipelineError::WorkerPanicked(panic_message(payload)));
-                    self.journal.restore()
-                }
-            }
-        } else {
-            self.stats.worker_failures += 1;
-            self.stats.degraded = true;
-            self.last_error = Some(PipelineError::EstimateTimeout);
-            self.journal.restore()
-        }
+        self.sup.stats().degraded
     }
 
     /// Shut down and return the sketch (never hangs; see
     /// [`health`](Self::health) for what happened on the way out).
     pub fn finish(mut self) -> S {
         self.flush();
-        self.recover_sketch()
-    }
-}
-
-impl<S: Supervisable> Drop for PipelineHUdaf<S> {
-    /// Bounded best-effort teardown for tables dropped without
-    /// [`finish`](Self::finish).
-    fn drop(&mut self) {
-        if let Some(link) = self.link.take() {
-            let _ = link.tx.try_send(Msg::Shutdown);
-            drop(link.tx);
-            let deadline = std::time::Instant::now() + self.cfg.shutdown_timeout;
-            while !link.handle.is_finished() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if link.handle.is_finished() {
-                let _ = link.handle.join();
-            }
-        }
+        self.sup.finish()
     }
 }
 
@@ -526,6 +232,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyEstimator};
     use sketches::FrequencyEstimator;
+    use std::time::Duration;
 
     fn pipeline(table: usize) -> PipelineHUdaf {
         PipelineHUdaf::spawn(CountMin::new(3, 4, 1 << 12).unwrap(), table)
@@ -550,6 +257,7 @@ mod tests {
         assert_eq!(p.flush_count(), 1);
         assert_eq!(p.estimate(1), 1);
         assert_eq!(p.estimate(3), 1);
+        assert_eq!(p.stats().forwarded, p.flush_count());
     }
 
     #[test]

@@ -16,6 +16,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q"
+# The root package's tests do not cover the member crates' unit suites
+# (asketch-parallel, the serve socket/codec suites, asketch-durable).
+cargo test --workspace -q
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
